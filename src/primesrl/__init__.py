@@ -17,8 +17,6 @@ from .model import (
     ScoreReport,
     SenseLabel,
     Token,
-    f1,
-    merge_counts,
 )
 from .conll import (
     AlignedCorpus,
@@ -31,13 +29,10 @@ from .conll import (
     serialize_conll05,
     serialize_conll09,
 )
-from .normalize import classify, merge_continuations, resolve_references
+from .normalize import classify, merge_continuations
 from .scoring import (
     corpus_stats,
     evaluate,
-    score_arguments_legacy_head,
-    score_arguments_legacy_span,
-    score_arguments_primesrl,
     score_predicates_legacy09,
     score_predicates_primesrl,
 )
@@ -46,9 +41,7 @@ __all__ = [
     "AlignedCorpus", "Corpus", "EvalCounts", "MergedArgument",
     "PredicateInstance", "RawArgument", "RoleLabel", "ScoreReport",
     "SenseLabel", "Sentence", "Token", "align", "classify", "corpus_stats",
-    "evaluate", "f1", "merge_continuations", "merge_counts", "parse_conll05",
-    "parse_conll09", "parse_sense_sidecar", "resolve_references",
-    "score_arguments_legacy_head", "score_arguments_legacy_span",
-    "score_arguments_primesrl", "score_predicates_legacy09",
+    "evaluate", "merge_continuations", "parse_conll05", "parse_conll09",
+    "parse_sense_sidecar", "score_predicates_legacy09",
     "score_predicates_primesrl", "serialize_conll05", "serialize_conll09",
 ]

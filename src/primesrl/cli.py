@@ -17,7 +17,7 @@ from .conll import (
     parse_sense_sidecar,
 )
 from .model import EvalCounts, ScoreReport, label_sort_key
-from .scoring import EmptyCorpus, corpus_stats, evaluate
+from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, evaluate
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -39,7 +39,7 @@ def _bold(text: str) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
@@ -123,9 +123,12 @@ def cmd_evaluate(args) -> int:
         flags = {"gold": args.gold, "system": args.system, "format": args.format,
                  "metric": args.metric, "mode": mode, "words": args.words,
                  "senses": args.senses, "per_label": args.per_label}
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(_report_json(report, flags), handle, indent=2)
-            handle.write("\n")
+        try:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                json.dump(_report_json(report, flags), handle, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            raise ConfigError("cannot write %s: %s" % (args.json, exc.strerror))
     return EXIT_OK
 
 
@@ -148,6 +151,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    _resolve_mode(args)
     corpus = load_corpus(args.path, args.format, args.words, args.senses)
     stats = corpus_stats(corpus)
     print(_bold("Corpus statistics"))
@@ -218,7 +222,7 @@ def main(argv=None) -> int:
     except AlignmentError as exc:
         print("alignment error: %s" % exc, file=sys.stderr)
         return EXIT_ALIGN
-    except (ConfigError, EmptyCorpus) as exc:
+    except (ConfigError, EmptyCorpus, MissingGoldSense) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
 

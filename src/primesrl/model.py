@@ -161,14 +161,10 @@ class MergedArgument:
     """A scoring unit after continuation merging.
 
     base_label never carries a C- prefix; the reference flag is preserved.
-    first_part_is_base records whether the leftmost merged part carried the
-    unprefixed label (only the legacy span scorer cares).
     """
 
     base_label: RoleLabel
     tokens: tuple[int, ...]
-    part_count: int = 1
-    first_part_is_base: bool = True
 
     def __post_init__(self):
         if self.base_label.is_continuation:
@@ -210,16 +206,6 @@ class EvalCounts:
         return EvalCounts(self.correct + other.correct,
                           self.predicted + other.predicted,
                           self.gold + other.gold)
-
-
-def f1(counts: EvalCounts) -> tuple[float, float, float]:
-    """Precision, recall and F1 with the zero-denominator-yields-zero convention."""
-    return counts.precision, counts.recall, counts.f1
-
-
-def merge_counts(a: EvalCounts, b: EvalCounts) -> EvalCounts:
-    """Field-wise sum; associative and commutative with identity (0, 0, 0)."""
-    return a + b
 
 
 @dataclass

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .model import MergedArgument, PredicateInstance, RoleLabel
 
@@ -30,8 +29,8 @@ def merge_continuations(pred: PredicateInstance, mode: str = "head") -> list[Mer
     Parts sharing (base, reference flag) form one unit whenever any of them
     carries a C- prefix, regardless of which part carries it; an orphan C-X
     still yields a unit with base X. Plain duplicates without any C-part stay
-    separate units. The `mode` parameter is accepted for symmetry with the
-    scorers; token sets are unioned identically in both modes.
+    separate units. The `mode` parameter is accepted for compatibility and
+    ignored; token sets are unioned identically in both modes.
     """
     groups: dict[tuple[str, bool], list] = {}
     for arg in pred.arguments:
@@ -48,42 +47,7 @@ def merge_continuations(pred: PredicateInstance, mode: str = "head") -> list[Mer
             tokens = tuple(sorted({t for p in cluster for t in p.extent}))
             units.append(MergedArgument(
                 base_label=RoleLabel(base, False, is_ref),
-                tokens=tokens,
-                part_count=len(cluster),
-                first_part_is_base=not cluster[0].label.is_continuation))
+                tokens=tokens))
     units.sort(key=lambda u: (u.tokens[0], str(u.base_label)))
     return units
 
-
-@dataclass(frozen=True)
-class ReferenceLink:
-    """A reference unit together with its candidate referents."""
-
-    unit: MergedArgument
-    candidates: tuple[MergedArgument, ...]
-
-    @property
-    def referent(self) -> MergedArgument | None:
-        return self.candidates[0] if self.candidates else None
-
-    @property
-    def is_dangling(self) -> bool:
-        return not self.candidates
-
-    @property
-    def is_ambiguous(self) -> bool:
-        return len(self.candidates) > 1
-
-
-def resolve_references(units: list[MergedArgument]) -> list[ReferenceLink]:
-    """Link each reference unit to the same-base non-reference unit(s).
-
-    When several non-reference units share the base (ambiguous referent) all
-    of them are listed; the scorer breaks the tie toward a correct one.
-    """
-    by_base: dict[str, list[MergedArgument]] = {}
-    for unit in units:
-        if not unit.is_reference:
-            by_base.setdefault(unit.base_label.base, []).append(unit)
-    return [ReferenceLink(unit=u, candidates=tuple(by_base.get(u.base_label.base, ())))
-            for u in units if u.is_reference]

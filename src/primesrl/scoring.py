@@ -1,4 +1,4 @@
-"""The three scoring engines plus predicate scorers and corpus statistics.
+"""One argument-scoring core for three metrics, predicate scorers and corpus statistics.
 
 Metrics:
   * strict ("primesrl"): joint predicate.sense credit, sense-conditioned core
@@ -18,14 +18,11 @@ from dataclasses import dataclass, field
 from .conll import AlignedCorpus, AlignedSentence, Corpus, align
 from .model import (
     EvalCounts,
-    MergedArgument,
     PredicateInstance,
     ScoreReport,
     VERB_BASE,
 )
 from .normalize import classify, merge_continuations
-
-METRICS = ("primesrl", "legacy_head", "legacy_span")
 
 
 class MissingGoldSense(ValueError):
@@ -36,38 +33,26 @@ class EmptyCorpus(ValueError):
     """Statistics requested for a corpus without any arguments."""
 
 
-class _Tally:
-    __slots__ = ("correct", "predicted", "gold")
-
-    def __init__(self):
-        self.correct = 0
-        self.predicted = 0
-        self.gold = 0
-
-    def freeze(self) -> EvalCounts:
-        return EvalCounts(self.correct, self.predicted, self.gold)
-
-
-def _freeze_labels(tallies: dict[str, _Tally]) -> dict[str, EvalCounts]:
-    return {label: t.freeze() for label, t in tallies.items()}
-
-
 # ---------------------------------------------------------------------------
 # predicate scorers
 
 def _score_predicates(aligned: AlignedCorpus, correct_fn) -> EvalCounts:
-    total = _Tally()
+    """Count aligned predicates; `correct_fn` None credits every pair."""
+    correct = predicted = gold = 0
     for sent in aligned.sentences:
-        total.predicted += len(sent.pairs) + len(sent.spurious)
-        total.gold += len(sent.pairs) + len(sent.missed)
+        predicted += len(sent.pairs) + len(sent.spurious)
+        gold += len(sent.pairs) + len(sent.missed)
+        if correct_fn is None:
+            correct += len(sent.pairs)
+            continue
         for gp, sp in sent.pairs:
             if gp.sense is None:
                 raise MissingGoldSense(
                     "sentence %d: gold predicate at token %d has no sense"
                     % (sent.index, gp.anchor))
             if sp.sense is not None and correct_fn(gp, sp):
-                total.correct += 1
-    return total.freeze()
+                correct += 1
+    return EvalCounts(correct, predicted, gold)
 
 
 def score_predicates_primesrl(aligned: AlignedCorpus) -> EvalCounts:
@@ -82,164 +67,23 @@ def score_predicates_legacy09(aligned: AlignedCorpus) -> EvalCounts:
 
 def score_predicates_trivial(aligned: AlignedCorpus) -> EvalCounts:
     """The always-correct convention for formats carrying no sense data."""
-    total = _Tally()
-    for sent in aligned.sentences:
-        total.correct += len(sent.pairs)
-        total.predicted += len(sent.pairs) + len(sent.spurious)
-        total.gold += len(sent.pairs) + len(sent.missed)
-    return total.freeze()
+    return _score_predicates(aligned, None)
 
 
 # ---------------------------------------------------------------------------
-# strict argument scorer
+# scoring units: (per-label tally label, match key, ...) items per predicate
 
-def _sense_joint_ok(gp: PredicateInstance, sp: PredicateInstance) -> bool:
-    if gp.sense is None:  # format without sense data: trivially correct
-        return True
-    return sp.sense is not None and sp.sense == gp.sense
-
-
-def _units(pred: PredicateInstance, mode: str) -> list[MergedArgument]:
-    return [u for u in merge_continuations(pred, mode) if not u.base_label.is_verb]
+def _strict_units(pred: PredicateInstance) -> list[tuple]:
+    """Merged units keyed on (base_label, tokens), with their core flag."""
+    return [(str(u.base_label), (u.base_label, u.tokens), classify(u.base_label) == "core")
+            for u in merge_continuations(pred) if not u.base_label.is_verb]
 
 
-def _match_exact(sys_units: list[MergedArgument],
-                 gold_units: list[MergedArgument]) -> set[int]:
-    """One-to-one token-set matching within one label group; returns indices
-    of matched system units. Exact-equality matching makes the greedy pass
-    maximal."""
-    available = Counter(u.tokens for u in gold_units)
-    matched = set()
-    for i, unit in enumerate(sys_units):
-        if available[unit.tokens] > 0:
-            available[unit.tokens] -= 1
-            matched.add(i)
-    return matched
-
-
-def _primesrl_sentence(sent: AlignedSentence, mode: str,
-                       labels: dict[str, _Tally]) -> _Tally:
-    tally = _Tally()
-
-    def bump(label, field_name, n=1):
-        setattr(tally, field_name, getattr(tally, field_name) + n)
-        t = labels.setdefault(label, _Tally())
-        setattr(t, field_name, getattr(t, field_name) + n)
-
-    for gp in sent.missed:
-        for unit in _units(gp, mode):
-            bump(str(unit.base_label), "gold")
-    for sp in sent.spurious:
-        for unit in _units(sp, mode):
-            bump(str(unit.base_label), "predicted")
-
-    for gp, sp in sent.pairs:
-        gold_units = _units(gp, mode)
-        sys_units = _units(sp, mode)
-        sense_ok = _sense_joint_ok(gp, sp)
-        for unit in gold_units:
-            bump(str(unit.base_label), "gold")
-        for unit in sys_units:
-            bump(str(unit.base_label), "predicted")
-
-        gold_by_key: dict[tuple[str, bool], list[MergedArgument]] = {}
-        sys_by_key: dict[tuple[str, bool], list[MergedArgument]] = {}
-        for unit in gold_units:
-            gold_by_key.setdefault((unit.base_label.base, unit.is_reference), []).append(unit)
-        for unit in sys_units:
-            sys_by_key.setdefault((unit.base_label.base, unit.is_reference), []).append(unit)
-
-        # Non-reference units first; reference credit depends on their outcome.
-        referent_exists: dict[str, bool] = {}
-        referent_ok: dict[str, bool] = {}
-        for (base, is_ref), group in sys_by_key.items():
-            if is_ref:
-                continue
-            matched = _match_exact(group, gold_by_key.get((base, False), []))
-            ok_any = False
-            for i, unit in enumerate(group):
-                ok = i in matched and (sense_ok or classify(unit.base_label) != "core")
-                ok_any = ok_any or ok
-                if ok:
-                    bump(str(unit.base_label), "correct")
-            referent_exists[base] = True
-            referent_ok[base] = ok_any
-
-        for (base, is_ref), group in sys_by_key.items():
-            if not is_ref:
-                continue
-            matched = _match_exact(group, gold_by_key.get((base, True), []))
-            for i, unit in enumerate(group):
-                ok = (i in matched
-                      and (sense_ok or classify(unit.base_label) != "core")
-                      and referent_exists.get(base, False)
-                      and referent_ok.get(base, False))
-                if ok:
-                    bump(str(unit.base_label), "correct")
-    return tally
-
-
-def score_arguments_primesrl(aligned: AlignedCorpus,
-                             mode: str) -> tuple[EvalCounts, dict[str, EvalCounts]]:
-    labels: dict[str, _Tally] = {}
-    total = _Tally()
-    for sent in aligned.sentences:
-        t = _primesrl_sentence(sent, mode, labels)
-        total.correct += t.correct
-        total.predicted += t.predicted
-        total.gold += t.gold
-    return total.freeze(), _freeze_labels(labels)
-
-
-# ---------------------------------------------------------------------------
-# legacy head scorer
-
-def _head_items(pred: PredicateInstance):
-    return [(str(a.label), a.extent) for a in pred.arguments if a.label.base != VERB_BASE]
-
-
-def _legacy_head_sentence(sent: AlignedSentence, labels: dict[str, _Tally]) -> _Tally:
-    tally = _Tally()
-
-    def bump(label, field_name):
-        setattr(tally, field_name, getattr(tally, field_name) + 1)
-        t = labels.setdefault(label, _Tally())
-        setattr(t, field_name, getattr(t, field_name) + 1)
-
-    for gp in sent.missed:
-        for label, _ in _head_items(gp):
-            bump(label, "gold")
-    for sp in sent.spurious:
-        for label, _ in _head_items(sp):
-            bump(label, "predicted")
-    for gp, sp in sent.pairs:
-        gold_items = _head_items(gp)
-        sys_items = _head_items(sp)
-        for label, _ in gold_items:
-            bump(label, "gold")
-        available = Counter(gold_items)
-        for item in sys_items:
-            bump(item[0], "predicted")
-            if available[item] > 0:
-                available[item] -= 1
-                bump(item[0], "correct")
-    return tally
-
-
-def score_arguments_legacy_head(aligned: AlignedCorpus) -> tuple[EvalCounts, dict[str, EvalCounts]]:
+def _head_units(pred: PredicateInstance) -> list[tuple]:
     """Every labeled head token is an independent unit; literal label match."""
-    labels: dict[str, _Tally] = {}
-    total = _Tally()
-    for sent in aligned.sentences:
-        t = _legacy_head_sentence(sent, labels)
-        total.correct += t.correct
-        total.predicted += t.predicted
-        total.gold += t.gold
-    return total.freeze(), _freeze_labels(labels)
+    return [(str(a.label), (str(a.label), a.extent))
+            for a in pred.arguments if a.label.base != VERB_BASE]
 
-
-# ---------------------------------------------------------------------------
-# legacy span scorer
 
 def chain_spans(pred: PredicateInstance) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
     """Left-to-right chaining of span parts into units, verb spans excluded.
@@ -262,47 +106,63 @@ def chain_spans(pred: PredicateInstance) -> list[tuple[tuple[str, tuple[int, ...
     return [tuple(u) for u in units]
 
 
-def _legacy_span_sentence(sent: AlignedSentence, labels: dict[str, _Tally]) -> _Tally:
-    tally = _Tally()
+def _span_units(pred: PredicateInstance) -> list[tuple]:
+    """A unit is correct iff its full part sequence matches a gold unit."""
+    return [(unit[0][0], unit) for unit in chain_spans(pred)]
 
-    def bump(label, field_name):
-        setattr(tally, field_name, getattr(tally, field_name) + 1)
-        t = labels.setdefault(label, _Tally())
-        setattr(t, field_name, getattr(t, field_name) + 1)
 
-    def unit_label(unit):
-        return unit[0][0]
+def _strict_credit(matched: list[tuple], gp: PredicateInstance,
+                   sp: PredicateInstance) -> list[tuple]:
+    """Core units need the joint sense; an R- unit needs a credited same-base referent."""
+    if gp.sense is not None and sp.sense != gp.sense:
+        matched = [unit for unit in matched if not unit[2]]
+    referents = {role.base for _, (role, _), _ in matched if not role.is_reference}
+    return [(label, (role, tokens), core) for label, (role, tokens), core in matched
+            if not role.is_reference or role.base in referents]
+
+
+CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] tally
+
+# metric -> (unit builder, credit filter over the matched system units)
+METRICS = {
+    "primesrl": (_strict_units, _strict_credit),
+    "legacy_head": (_head_units, None),
+    "legacy_span": (_span_units, None),
+}
+
+
+def _score_sentence(sent: AlignedSentence, units, credit,
+                    labels: dict[str, list[int]]) -> list[int]:
+    """Tally one aligned sentence into `labels` (label -> tally) and return
+    the sentence's own [correct, predicted, gold] tally."""
+    total = [0, 0, 0]
+
+    def add(items: list[tuple], kind: int) -> None:
+        for item in items:
+            row = labels.get(item[0])
+            if row is None:
+                row = labels[item[0]] = [0, 0, 0]
+            row[kind] += 1
+        total[kind] += len(items)
 
     for gp in sent.missed:
-        for unit in chain_spans(gp):
-            bump(unit_label(unit), "gold")
+        add(units(gp), GOLD)
     for sp in sent.spurious:
-        for unit in chain_spans(sp):
-            bump(unit_label(unit), "predicted")
+        add(units(sp), PREDICTED)
     for gp, sp in sent.pairs:
-        gold_units = chain_spans(gp)
-        sys_units = chain_spans(sp)
-        for unit in gold_units:
-            bump(unit_label(unit), "gold")
-        available = Counter(gold_units)
+        gold_units = units(gp)
+        sys_units = units(sp)
+        add(gold_units, GOLD)
+        add(sys_units, PREDICTED)
+        # one-to-one multiset match; exact-key equality makes the greedy pass maximal
+        available = Counter(unit[1] for unit in gold_units)
+        matched = []
         for unit in sys_units:
-            bump(unit_label(unit), "predicted")
-            if available[unit] > 0:
-                available[unit] -= 1
-                bump(unit_label(unit), "correct")
-    return tally
-
-
-def score_arguments_legacy_span(aligned: AlignedCorpus) -> tuple[EvalCounts, dict[str, EvalCounts]]:
-    """A unit is correct iff its full part sequence matches a gold unit."""
-    labels: dict[str, _Tally] = {}
-    total = _Tally()
-    for sent in aligned.sentences:
-        t = _legacy_span_sentence(sent, labels)
-        total.correct += t.correct
-        total.predicted += t.predicted
-        total.gold += t.gold
-    return total.freeze(), _freeze_labels(labels)
+            if available[unit[1]] > 0:
+                available[unit[1]] -= 1
+                matched.append(unit)
+        add(credit(matched, gp, sp) if credit else matched, CORRECT)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -373,24 +233,19 @@ def evaluate(gold: Corpus, system: Corpus, metric: str, mode: str,
     else:
         predicate_counts = score_predicates_legacy09(aligned)
 
-    labels: dict[str, _Tally] = {}
+    units, credit = METRICS[metric]
+    labels: dict[str, list[int]] = {}
     sentence_counts = []
-    total = _Tally()
+    total = [0, 0, 0]
     for sent in aligned.sentences:
-        if metric == "primesrl":
-            t = _primesrl_sentence(sent, mode, labels)
-        elif metric == "legacy_head":
-            t = _legacy_head_sentence(sent, labels)
-        else:
-            t = _legacy_span_sentence(sent, labels)
-        total.correct += t.correct
-        total.predicted += t.predicted
-        total.gold += t.gold
+        counts = _score_sentence(sent, units, credit, labels)
+        for i in range(3):
+            total[i] += counts[i]
         if per_sentence:
-            sentence_counts.append(t.freeze())
+            sentence_counts.append(EvalCounts(*counts))
 
     return ScoreReport(metric=metric, mode=mode,
                        predicate_counts=predicate_counts,
-                       argument_counts=total.freeze(),
-                       per_label=_freeze_labels(labels),
+                       argument_counts=EvalCounts(*total),
+                       per_label={label: EvalCounts(*row) for label, row in labels.items()},
                        per_sentence=sentence_counts if per_sentence else None)

@@ -153,6 +153,7 @@ def perturb_predicate(rng: random.Random, pred: PredicateInstance,
                                                     if "%02d" % i != sense.sense_id]))
     units = _gold_units(pred)
     used_bases = {b for b, r, _ in units if not r}
+    pool = list(free_tokens)  # moved head tokens are drawn without replacement
     args: list[RawArgument] = []
     for base, is_ref, parts in units:
         if base == VERB_BASE:
@@ -167,10 +168,10 @@ def perturb_predicate(rng: random.Random, pred: PredicateInstance,
                 used_bases.discard(base)
                 base = rng.choice(fresh)
                 used_bases.add(base)
-        elif roll < 0.30 and free_tokens and mode == "head":
+        elif roll < 0.30 and pool and mode == "head":
             i = rng.randrange(len(parts))
             parts = list(parts)
-            parts[i] = (rng.choice(free_tokens),)
+            parts[i] = (pool.pop(rng.randrange(len(pool))),)
         args.extend(_unit_args(base, is_ref, parts))
     args.sort(key=lambda a: a.extent[0])
     return PredicateInstance(anchor=pred.anchor, sense=sense, arguments=tuple(args))

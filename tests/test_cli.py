@@ -86,6 +86,12 @@ class TestEvaluate:
         run(["evaluate", "--per-label", path("lead_gold.conll"), path("lead_p1.conll")])
         assert capsys.readouterr().out == first
 
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, capsys):
+        bom = tmp_path / "bom.conll"
+        bom.write_text("\ufeff" + (DATA / "buy_gold.conll").read_text(), encoding="utf-8")
+        assert run(["evaluate", str(bom), path("buy_gold.conll")]) == cli.EXIT_OK
+        assert "Argument F1: 1.0000" in capsys.readouterr().out
+
 
 class TestCompare:
     def test_delta_between_metrics(self, capsys):
@@ -153,3 +159,25 @@ class TestExitCodes:
         empty.write_text("\t".join(cols) + "\n")
         code = run(["stats", str(empty)])
         assert code == cli.EXIT_CONFIG
+
+    def test_gold_mixing_senses_and_underscores(self, tmp_path, capsys):
+        text = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
+        mixed = tmp_path / "mixed.conll"
+        mixed.write_text(text + text.replace("buy.01", "_"))
+        code = run(["evaluate", str(mixed), str(mixed)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "sentence 2" in err and "token 4" in err
+
+    def test_json_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        code = run(["evaluate", "--json", str(target),
+                    path("buy_gold.conll"), path("buy_gold.conll")])
+        assert code == cli.EXIT_CONFIG
+        assert "error: cannot write %s:" % target in capsys.readouterr().err
+
+    def test_stats_span_format_rejects_head_mode(self, capsys):
+        code = run(["stats", "--format", "conll05", "--mode", "head",
+                    "--words", path("tax.words"), path("tax_gold.props")])
+        assert code == cli.EXIT_CONFIG
+

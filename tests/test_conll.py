@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from conftest import DATA, load_head, load_span
+from corpusgen import perturb_corpus, random_corpus
 from primesrl import (
     RoleLabel,
     SenseLabel,
@@ -177,6 +180,15 @@ class TestSerialize:
             serialize_conll05(head)
         with pytest.raises(ModeMismatch):
             serialize_conll09(span)
+
+    @pytest.mark.parametrize("seed", [3, 5, 6, 7, 9])
+    def test_perturbed_head_corpus_round_trip(self, seed):
+        # moved head tokens once collided on one token of one predicate
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=20, mode="head",
+                             max_tokens=30, max_preds=5, max_args=6)
+        system = perturb_corpus(rng, gold)
+        assert parse_conll09(serialize_conll09(system)) == system
 
 
 class TestAlign:

@@ -1,6 +1,6 @@
 import pytest
 
-from primesrl import EvalCounts, RoleLabel, SenseLabel, f1, merge_counts
+from primesrl import EvalCounts, RoleLabel, SenseLabel
 from primesrl.model import (
     LabelError,
     MergedArgument,
@@ -80,20 +80,24 @@ def test_label_sort_key_order():
         "A0", "R-A0", "A1", "C-A1", "AM-LOC", "AM-TMP"]
 
 
+def prf(counts):
+    return counts.precision, counts.recall, counts.f1
+
+
 class TestEvalCounts:
     def test_f1_values(self):
-        assert f1(EvalCounts(1, 3, 3)) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
-        p, r, score = f1(EvalCounts(2, 4, 3))
+        assert prf(EvalCounts(1, 3, 3)) == pytest.approx((1 / 3, 1 / 3, 1 / 3))
+        p, r, score = prf(EvalCounts(2, 4, 3))
         assert (p, r) == pytest.approx((0.5, 2 / 3))
         assert score == pytest.approx(4 / 7)
 
     def test_zero_denominators_yield_zero(self):
-        assert f1(EvalCounts(0, 0, 0)) == (0.0, 0.0, 0.0)
-        assert f1(EvalCounts(0, 5, 0)) == (0.0, 0.0, 0.0)
-        assert f1(EvalCounts(0, 0, 5)) == (0.0, 0.0, 0.0)
+        assert prf(EvalCounts(0, 0, 0)) == (0.0, 0.0, 0.0)
+        assert prf(EvalCounts(0, 5, 0)) == (0.0, 0.0, 0.0)
+        assert prf(EvalCounts(0, 0, 5)) == (0.0, 0.0, 0.0)
 
     def test_perfect(self):
-        assert f1(EvalCounts(3, 3, 3)) == (1.0, 1.0, 1.0)
+        assert prf(EvalCounts(3, 3, 3)) == (1.0, 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -104,10 +108,10 @@ class TestEvalCounts:
     def test_merge_is_a_monoid(self):
         a, b, c = EvalCounts(1, 2, 3), EvalCounts(0, 4, 1), EvalCounts(2, 2, 2)
         zero = EvalCounts()
-        assert merge_counts(a, zero) == a
-        assert merge_counts(a, b) == merge_counts(b, a)
-        assert merge_counts(merge_counts(a, b), c) == merge_counts(a, merge_counts(b, c))
-        assert merge_counts(a, b) == EvalCounts(1, 6, 4)
+        assert a + zero == a
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a + b == EvalCounts(1, 6, 4)
 
 
 class TestStructures:

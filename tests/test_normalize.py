@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import load_head
-from primesrl import RoleLabel, classify, merge_continuations, resolve_references
+from primesrl import RoleLabel, classify, merge_continuations
 from primesrl.model import PredicateInstance, RawArgument
 from primesrl.normalize import UnknownLabel
 
@@ -20,15 +20,12 @@ class TestMergeContinuations:
         pred = load_head("tax_gold").sentences[0].predicates[0]
         units = unit_map(merge_continuations(pred))
         assert set(units) == {("A0", (3, 12)), ("A2", (8,)), ("AM-TMP", (10,))}
-        merged = units[("A0", (3, 12))]
-        assert merged.part_count == 2 and merged.first_part_is_base
 
     def test_prefix_on_first_part(self):
         # the C- prefix may sit on either part; the unit is the same
         pred = load_head("tax_p4").sentences[0].predicates[0]
         units = unit_map(merge_continuations(pred))
         assert ("A0", (3, 12)) in units
-        assert not units[("A0", (3, 12))].first_part_is_base
 
     def test_prefix_on_both_parts(self):
         pred = load_head("tax_p6").sentences[0].predicates[0]
@@ -48,7 +45,6 @@ class TestMergeContinuations:
         pred = pred_from([(3, "A0"), (5, "A0"), (12, "C-A0")])
         units = merge_continuations(pred)
         assert [u.tokens for u in units] == [(3, 5, 12)]
-        assert units[0].part_count == 3
 
     def test_reference_flag_separates_groups(self):
         pred = pred_from([(3, "A0"), (5, "R-A0"), (12, "C-A0")])
@@ -67,29 +63,6 @@ class TestMergeContinuations:
         b = pred_from([(3, "C-A0"), (12, "A0")])
         keyed = lambda p: {(str(u.base_label), u.tokens) for u in merge_continuations(p)}
         assert keyed(a) == keyed(b)
-
-
-class TestResolveReferences:
-    def test_linked_referent(self):
-        pred = load_head("lead_gold").sentences[0].predicates[0]
-        links = resolve_references(merge_continuations(pred))
-        assert len(links) == 1
-        link = links[0]
-        assert str(link.unit.base_label) == "R-A0"
-        assert not link.is_dangling and not link.is_ambiguous
-        assert link.referent.tokens == (5,)
-
-    def test_dangling_reference(self):
-        pred = load_head("lead_p2").sentences[0].predicates[0]
-        links = resolve_references(merge_continuations(pred))
-        assert str(links[0].unit.base_label) == "R-A1"
-        assert links[0].is_dangling and links[0].referent is None
-
-    def test_ambiguous_referent_lists_all_candidates(self):
-        units = merge_continuations(pred_from([(2, "A0"), (4, "A0"), (6, "R-A0")]))
-        links = resolve_references(units)
-        assert links[0].is_ambiguous
-        assert sorted(c.tokens for c in links[0].candidates) == [(2,), (4,)]
 
 
 class TestClassify:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import counts, load_head, load_span
+from conftest import DATA, counts, load_head, load_span
 from primesrl import (
     Corpus,
     RoleLabel,
@@ -10,6 +10,7 @@ from primesrl import (
     align,
     evaluate,
     corpus_stats,
+    parse_conll09,
     score_predicates_legacy09,
     score_predicates_primesrl,
 )
@@ -161,6 +162,38 @@ class TestReferenceArguments:
                           "primesrl", "head")
         assert counts(report.per_label["A0"]) == (1, 1, 1)
         assert counts(report.per_label["R-A0"]) == (0, 0, 1)
+
+    @staticmethod
+    def ambiguous(*a0_tokens):
+        # two same-base referents, A0 and A0, plus one R-A0 pointing at them
+        labels = [RoleLabel("A0"), RoleLabel("A0"), RoleLabel("A0", is_reference=True)]
+        args = tuple(RawArgument(label, (tok,))
+                     for label, tok in zip(labels, (*a0_tokens, 6)))
+        sense = SenseLabel("lead", "01")
+        tokens = [Token(i, "w%d" % i, is_predicate=i == 1, sense=sense if i == 1 else None)
+                  for i in range(1, 8)]
+        return Corpus([Sentence(tokens, [PredicateInstance(1, sense, args)])], mode="head")
+
+    @pytest.mark.parametrize("system", [(2, 5), (3, 4)], ids=["first", "second"])
+    def test_ambiguous_referent_credited_by_either_referent(self, system):
+        report = evaluate(self.ambiguous(2, 4), self.ambiguous(*system), "primesrl", "head")
+        assert counts(report.per_label["R-A0"]) == (1, 1, 1)
+        assert counts(report.argument_counts) == (2, 3, 3)
+
+    def test_ambiguous_referent_without_credited_referent(self):
+        report = evaluate(self.ambiguous(2, 4), self.ambiguous(3, 5), "primesrl", "head")
+        assert counts(report.per_label["R-A0"]) == (0, 1, 1)
+        assert counts(report.argument_counts) == (0, 3, 3)
+
+
+class TestUnknownRole:
+    @pytest.mark.parametrize("system_sense", ["buy.01", "buy.05"])
+    def test_gold_warns_whatever_the_system_sense(self, system_sense):
+        text = (DATA / "buy_gold.conll").read_text().replace("\tA0\n", "\tXYZ\n")
+        gold = parse_conll09(text)
+        system = parse_conll09(text.replace("buy.01", system_sense))
+        with pytest.warns(UserWarning, match="XYZ"):
+            evaluate(gold, system, "primesrl", "head")
 
 
 class TestChainSpans:
