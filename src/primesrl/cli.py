@@ -39,10 +39,17 @@ def _bold(text: str) -> str:
 
 def _read(path: str) -> str:
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
+    try:
+        return data.decode("utf-8-sig")  # drops a leading byte order mark
+    except UnicodeDecodeError as exc:
+        # exc.object has the mark removed; count lines the way the parsers do
+        before = exc.object[:exc.start].decode("utf-8")
+        raise ParseError("byte 0x%02x is not valid UTF-8" % exc.object[exc.start],
+                         line=len((before + "_").splitlines()), path=path)
 
 
 def load_corpus(path: str, fmt: str, words: str | None,
@@ -55,6 +62,13 @@ def load_corpus(path: str, fmt: str, words: str | None,
     if senses is not None:
         sidecar = parse_sense_sidecar(_read(senses), path=senses)
     return parse_conll05(_read(words), _read(path), senses=sidecar, path=path)
+
+
+def _load_pair(args) -> tuple[Corpus, Corpus]:
+    gold = load_corpus(args.gold, args.format, args.words, args.senses)
+    if not gold.sentences:
+        raise ConfigError("%s: no sentences" % args.gold)
+    return gold, load_corpus(args.system, args.format, args.words, args.senses_system)
 
 
 def _resolve_mode(args) -> str:
@@ -71,9 +85,9 @@ def _metric_name(metric: str, mode: str) -> str:
     return metric
 
 
-def _counts_line(name: str, counts: EvalCounts) -> str:
-    return ("%s P: %.4f  R: %.4f  F1: %.4f  (correct %d, predicted %d, gold %d)"
-            % (name, counts.precision, counts.recall, counts.f1,
+def _counts_line(counts: EvalCounts) -> str:
+    return ("P: %.4f  R: %.4f  F1: %.4f  (correct %d, predicted %d, gold %d)"
+            % (counts.precision, counts.recall, counts.f1,
                counts.correct, counts.predicted, counts.gold))
 
 
@@ -108,15 +122,14 @@ def _report_json(report: ScoreReport, flags: dict) -> dict:
 
 def cmd_evaluate(args) -> int:
     mode = _resolve_mode(args)
-    gold = load_corpus(args.gold, args.format, args.words, args.senses)
-    system = load_corpus(args.system, args.format, args.words, args.senses_system)
+    gold, system = _load_pair(args)
     metric = _metric_name(args.metric, mode)
     report = evaluate(gold, system, metric, mode)
     print(_bold("Metric: %s  Mode: %s" % (metric, mode)))
     print("Predicate F1: %.4f  (%s)" % (report.predicate_counts.f1,
-                                        _counts_line("", report.predicate_counts).strip()))
+                                        _counts_line(report.predicate_counts)))
     print("Argument F1: %.4f  (%s)" % (report.argument_counts.f1,
-                                       _counts_line("", report.argument_counts).strip()))
+                                       _counts_line(report.argument_counts)))
     if args.per_label:
         _print_per_label(report.per_label)
     if args.json:
@@ -134,8 +147,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     mode = _resolve_mode(args)
-    gold = load_corpus(args.gold, args.format, args.words, args.senses)
-    system = load_corpus(args.system, args.format, args.words, args.senses_system)
+    gold, system = _load_pair(args)
     legacy_metric = _metric_name("legacy", mode)
     legacy = evaluate(gold, system, legacy_metric, mode)
     strict = evaluate(gold, system, "primesrl", mode)

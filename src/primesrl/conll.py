@@ -166,8 +166,7 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
             if index != i + 1:
                 raise ParseError("token ids not contiguous: expected %d, found %d"
                                  % (i + 1, index), line=lineno, path=path)
-            tokens.append(Token(index=index, form=cols[1],
-                                is_predicate=(i in senses), sense=senses.get(i)))
+            tokens.append(Token(index=index, form=cols[1]))
 
         predicates = []
         for k, pi in enumerate(pred_rows):
@@ -237,7 +236,6 @@ def parse_conll05(words: str, props: str,
             raise ColumnCountMismatch("empty props row", line=rows[0][0], path=path)
 
         predicates = []
-        anchors: dict[int, SenseLabel | None] = {}
         for j in range(width - 1):
             parts = []
             open_label: RoleLabel | None = None
@@ -277,13 +275,10 @@ def parse_conll05(words: str, props: str,
                                     line=rows[0][0], path=path)
             anchor = verb_parts[0].extent[0]
             sense = (senses or {}).get((sent_no, anchor))
-            anchors[anchor] = sense
             predicates.append(PredicateInstance(anchor=anchor, sense=sense,
                                                 arguments=tuple(parts)))
 
-        tokens = [Token(index=i + 1, form=form,
-                        is_predicate=(i + 1) in anchors, sense=anchors.get(i + 1))
-                  for i, form in enumerate(forms)]
+        tokens = [Token(index=i + 1, form=form) for i, form in enumerate(forms)]
         predicates.sort(key=lambda p: p.anchor)
         sentences.append(Sentence(tokens=tokens, predicates=predicates))
     return Corpus(sentences=sentences, mode="span")
@@ -355,8 +350,6 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
 @dataclass
 class AlignedSentence:
     index: int  # 1-based sentence number
-    gold: Sentence
-    system: Sentence
     pairs: list[tuple[PredicateInstance, PredicateInstance]] = field(default_factory=list)
     missed: list[PredicateInstance] = field(default_factory=list)
     spurious: list[PredicateInstance] = field(default_factory=list)
@@ -365,7 +358,6 @@ class AlignedSentence:
 @dataclass
 class AlignedCorpus:
     sentences: list[AlignedSentence]
-    mode: str
 
 
 def align(gold: Corpus, system: Corpus) -> AlignedCorpus:
@@ -387,7 +379,7 @@ def align(gold: Corpus, system: Corpus) -> AlignedCorpus:
                     % (idx, gt.index, gt.form, st.form),
                     sentence=idx, token=gt.index)
         sys_by_anchor = {p.anchor: p for p in ss.predicates}
-        sent = AlignedSentence(index=idx, gold=gs, system=ss)
+        sent = AlignedSentence(index=idx)
         for gp in gs.predicates:
             sp = sys_by_anchor.pop(gp.anchor, None)
             if sp is None:
@@ -396,4 +388,4 @@ def align(gold: Corpus, system: Corpus) -> AlignedCorpus:
                 sent.pairs.append((gp, sp))
         sent.spurious.extend(sys_by_anchor[a] for a in sorted(sys_by_anchor))
         aligned.append(sent)
-    return AlignedCorpus(sentences=aligned, mode=gold.mode)
+    return AlignedCorpus(sentences=aligned)

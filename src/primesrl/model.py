@@ -99,11 +99,6 @@ class RoleLabel:
     def is_modifier(self) -> bool:
         return self.base.startswith("AM-")
 
-    def without_continuation(self) -> "RoleLabel":
-        if not self.is_continuation:
-            return self
-        return RoleLabel(self.base, False, self.is_reference)
-
     def __str__(self) -> str:
         return ("R-" if self.is_reference else "") + ("C-" if self.is_continuation else "") + self.base
 
@@ -119,8 +114,6 @@ def label_sort_key(label: str):
 class Token:
     index: int  # 1-based position in the sentence
     form: str
-    is_predicate: bool = False
-    sense: SenseLabel | None = None
 
     def __post_init__(self):
         if self.index < 1:
@@ -201,11 +194,6 @@ class EvalCounts:
     def f1(self) -> float:
         p, r = self.precision, self.recall
         return 2 * p * r / (p + r) if p + r else 0.0
-
-    def __add__(self, other: "EvalCounts") -> "EvalCounts":
-        return EvalCounts(self.correct + other.correct,
-                          self.predicted + other.predicted,
-                          self.gold + other.gold)
 
 
 @dataclass

@@ -7,30 +7,23 @@ import warnings
 from .model import MergedArgument, PredicateInstance, RoleLabel
 
 
-class UnknownLabel(ValueError):
-    """A role base outside both the numbered-core and AM- families."""
-
-
-def classify(label: RoleLabel, strict: bool = False) -> str:
+def classify(label: RoleLabel) -> str:
     """Return "core" or "modifier" for a normalized label; prefixes are ignored."""
     if label.is_core:
         return "core"
     if label.is_modifier:
         return "modifier"
-    if strict:
-        raise UnknownLabel("role base %r is neither core nor AM-" % label.base)
     warnings.warn("treating unknown role base %r as a modifier" % label.base)
     return "modifier"
 
 
-def merge_continuations(pred: PredicateInstance, mode: str = "head") -> list[MergedArgument]:
+def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
     """Collapse C-parts into whole-argument units.
 
     Parts sharing (base, reference flag) form one unit whenever any of them
     carries a C- prefix, regardless of which part carries it; an orphan C-X
     still yields a unit with base X. Plain duplicates without any C-part stay
-    separate units. The `mode` parameter is accepted for compatibility and
-    ignored; token sets are unioned identically in both modes.
+    separate units. Token sets are unioned identically for head and span data.
     """
     groups: dict[tuple[str, bool], list] = {}
     for arg in pred.arguments:

@@ -95,11 +95,7 @@ def random_predicate(rng: random.Random, anchor: int, free_tokens: list[int],
 
 
 def _rebuild_tokens(n_tokens: int, predicates: list[PredicateInstance]) -> list[Token]:
-    by_anchor = {p.anchor: p for p in predicates}
-    return [Token(index=i, form="w%d" % i,
-                  is_predicate=i in by_anchor,
-                  sense=by_anchor[i].sense if i in by_anchor else None)
-            for i in range(1, n_tokens + 1)]
+    return [Token(index=i, form="w%d" % i) for i in range(1, n_tokens + 1)]
 
 
 def random_sentence(rng: random.Random, max_tokens: int = 8, max_preds: int = 2,
@@ -211,8 +207,8 @@ def oracle_correct(gold_pred: PredicateInstance, sys_pred: PredicateInstance,
                    mode: str = "head") -> int:
     """Max correct count over all one-to-one unit assignments, applying the
     anchor/label/token/sense/reference rules directly."""
-    gunits = [u for u in merge_continuations(gold_pred, mode) if not u.base_label.is_verb]
-    sunits = [u for u in merge_continuations(sys_pred, mode) if not u.base_label.is_verb]
+    gunits = [u for u in merge_continuations(gold_pred) if not u.base_label.is_verb]
+    sunits = [u for u in merge_continuations(sys_pred) if not u.base_label.is_verb]
     sense_ok = gold_pred.sense is None or (
         sys_pred.sense is not None and sys_pred.sense == gold_pred.sense)
 

@@ -153,6 +153,26 @@ class TestExitCodes:
         code = run(["evaluate", path("no_such_file.conll"), path("buy_gold.conll")])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare", "stats"])
+    def test_non_utf8_input(self, command, tmp_path, capsys):
+        lines = (DATA / "buy_gold.conll").read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"John", b"J\xf6hn")  # Latin-1, not UTF-8
+        bad = tmp_path / "latin1.conll"
+        bad.write_bytes(b"\n".join(lines))
+        argv = [command, str(bad)] if command == "stats" else [command, str(bad), str(bad)]
+        code = run(argv)
+        assert code == cli.EXIT_PARSE
+        assert "parse error: %s:line 3: " % bad in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_gold_without_sentences(self, command, tmp_path, capsys):
+        gold, system = tmp_path / "gold.conll", tmp_path / "system.conll"
+        gold.write_text("")
+        system.write_text("")
+        code = run([command, str(gold), str(system)])
+        assert code == cli.EXIT_CONFIG
+        assert "error: %s: no sentences" % gold in capsys.readouterr().err
+
     def test_stats_on_empty_corpus(self, tmp_path, capsys):
         empty = tmp_path / "empty.conll"
         cols = ["1", "word"] + ["_"] * 10 + ["Y", "go.01", "_"]

@@ -65,10 +65,6 @@ class TestRoleLabel:
         assert RoleLabel.parse("V").is_verb
         assert RoleLabel.parse("AA").is_core
 
-    def test_without_continuation(self):
-        lbl = RoleLabel.parse("C-R-A0").without_continuation()
-        assert lbl == RoleLabel("A0", False, True)
-
     def test_round_trip(self):
         for text in ("A0", "C-A1", "R-A0", "R-C-A2", "AM-TMP", "C-AM-LOC", "V"):
             assert str(RoleLabel.parse(text)) == text
@@ -104,14 +100,6 @@ class TestEvalCounts:
             EvalCounts(2, 1, 3)
         with pytest.raises(ValueError):
             EvalCounts(-1, 0, 0)
-
-    def test_merge_is_a_monoid(self):
-        a, b, c = EvalCounts(1, 2, 3), EvalCounts(0, 4, 1), EvalCounts(2, 2, 2)
-        zero = EvalCounts()
-        assert a + zero == a
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a + b == EvalCounts(1, 6, 4)
 
 
 class TestStructures:

@@ -3,7 +3,6 @@ import pytest
 from conftest import load_head
 from primesrl import RoleLabel, classify, merge_continuations
 from primesrl.model import PredicateInstance, RawArgument
-from primesrl.normalize import UnknownLabel
 
 
 def pred_from(labeled_tokens):
@@ -78,5 +77,3 @@ class TestClassify:
         label = RoleLabel("XARG")
         with pytest.warns(UserWarning):
             assert classify(label) == "modifier"
-        with pytest.raises(UnknownLabel):
-            classify(label, strict=True)

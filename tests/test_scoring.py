@@ -28,7 +28,7 @@ LEAD_CASES = ("gold", "p1", "p2", "p3", "p4", "p5", "p6")
 
 def single_pred_corpus(sense):
     label = SenseLabel.parse(sense) if sense else None
-    token = Token(1, "stares", is_predicate=True, sense=label)
+    token = Token(1, "stares")
     pred = PredicateInstance(anchor=1, sense=label, arguments=())
     return Corpus([Sentence([token], [pred])], mode="head")
 
@@ -170,8 +170,7 @@ class TestReferenceArguments:
         args = tuple(RawArgument(label, (tok,))
                      for label, tok in zip(labels, (*a0_tokens, 6)))
         sense = SenseLabel("lead", "01")
-        tokens = [Token(i, "w%d" % i, is_predicate=i == 1, sense=sense if i == 1 else None)
-                  for i in range(1, 8)]
+        tokens = [Token(i, "w%d" % i) for i in range(1, 8)]
         return Corpus([Sentence(tokens, [PredicateInstance(1, sense, args)])], mode="head")
 
     @pytest.mark.parametrize("system", [(2, 5), (3, 4)], ids=["first", "second"])
