@@ -116,7 +116,24 @@ def _blocks(text: str):
         yield block
 
 
+def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
+          path: str | None) -> RoleLabel:
+    """The role label of ``cell``, parsed once per distinct cell into ``labels``."""
+    label = labels.get(cell)
+    if label is None:
+        try:
+            label = labels[cell] = RoleLabel.parse(cell)
+        except LabelError as exc:
+            raise ParseError(str(exc), line=lineno, path=path)
+    return label
+
+
 def parse_conll09(text: str, path: str | None = None) -> Corpus:
+    # Parsed records are frozen, so each distinct cell is parsed, checked and
+    # built once per call and the result is shared by every row that repeats it.
+    labels: dict[str, RoleLabel] = {}
+    heads: dict[tuple[str, int], RawArgument] = {}
+    senses: dict[str, SenseLabel] = {}
     sentences = []
     for block in _blocks(text):
         rows = []
@@ -129,7 +146,10 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
             rows.append((lineno, cols))
         pred_rows = [i for i, (_, cols) in enumerate(rows) if cols[FILLPRED_COL] == "Y"]
         n_preds = len(pred_rows)
-        for lineno, cols in rows:
+
+        tokens = []
+        arguments: list[list[RawArgument]] = [[] for _ in pred_rows]
+        for i, (lineno, cols) in enumerate(rows):
             if len(cols) < FIRST_APRED_COL + n_preds:
                 raise ColumnCountMismatch(
                     "expected %d columns for %d predicates, found %d"
@@ -140,25 +160,6 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
                     "row has %d argument columns but the sentence has %d predicate rows"
                     % (len(cols) - FIRST_APRED_COL, n_preds),
                     line=lineno, path=path)
-
-        senses: dict[int, SenseLabel | None] = {}
-        for i in pred_rows:
-            lineno, cols = rows[i]
-            cell = cols[PRED_COL]
-            if cell == "_":
-                senses[i] = None
-            else:
-                try:
-                    senses[i] = SenseLabel.parse(cell)
-                except LabelError:
-                    warnings.warn(
-                        "line %d: predicate sense cell %r is not lemma.sense; "
-                        "recorded as sense-missing" % (lineno, cell),
-                        MalformedSenseWarning)
-                    senses[i] = None
-
-        tokens = []
-        for i, (lineno, cols) in enumerate(rows):
             try:
                 index = int(cols[0])
             except ValueError:
@@ -167,20 +168,30 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
                 raise ParseError("token ids not contiguous: expected %d, found %d"
                                  % (i + 1, index), line=lineno, path=path)
             tokens.append(Token(index=index, form=cols[1]))
-
-        predicates = []
-        for k, pi in enumerate(pred_rows):
-            args = []
-            for i, (lineno, cols) in enumerate(rows):
-                cell = cols[FIRST_APRED_COL + k]
+            for args, cell in zip(arguments, cols[FIRST_APRED_COL:]):
                 if cell == "_":
                     continue
+                arg = heads.get((cell, index))
+                if arg is None:
+                    arg = heads[cell, index] = RawArgument(
+                        label=_role(labels, cell, lineno, path), extent=(index,))
+                args.append(arg)
+
+        predicates = []
+        for i, args in zip(pred_rows, arguments):
+            lineno, cols = rows[i]
+            cell = cols[PRED_COL]
+            sense = senses.get(cell)
+            if sense is None and cell != "_":
                 try:
-                    label = RoleLabel.parse(cell)
-                except LabelError as exc:
-                    raise ParseError(str(exc), line=lineno, path=path)
-                args.append(RawArgument(label=label, extent=(i + 1,)))
-            predicates.append(PredicateInstance(anchor=pi + 1, sense=senses[pi],
+                    sense = senses[cell] = SenseLabel.parse(cell)
+                except LabelError:
+                    # not cached, so every occurrence warns with its own line
+                    warnings.warn(
+                        "line %d: predicate sense cell %r is not lemma.sense; "
+                        "recorded as sense-missing" % (lineno, cell),
+                        MalformedSenseWarning)
+            predicates.append(PredicateInstance(anchor=i + 1, sense=sense,
                                                 arguments=tuple(args)))
         sentences.append(Sentence(tokens=tokens, predicates=predicates))
     return Corpus(sentences=sentences, mode="head")
@@ -191,7 +202,8 @@ _PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
-    senses = {}
+    senses: dict[tuple[int, int], SenseLabel] = {}
+    labels: dict[str, SenseLabel] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -201,11 +213,16 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
             raise ParseError("expected 3 fields (sentence, token, lemma.sense)",
                              line=lineno, path=path)
         try:
-            sent, tok = int(parts[0]), int(parts[1])
-            sense = SenseLabel.parse(parts[2])
+            key = int(parts[0]), int(parts[1])
+            sense = labels.get(parts[2])
+            if sense is None:
+                sense = labels[parts[2]] = SenseLabel.parse(parts[2])
         except (ValueError, LabelError) as exc:
             raise ParseError(str(exc), line=lineno, path=path)
-        senses[(sent, tok)] = sense
+        if key in senses:
+            raise ParseError("sentence %d, token %d already has a sense row" % key,
+                             line=lineno, path=path)
+        senses[key] = sense
     return senses
 
 
@@ -218,6 +235,11 @@ def parse_conll05(words: str, props: str,
         raise ParseError("words file has %d sentences, props file has %d"
                          % (len(word_blocks), len(prop_blocks)), path=path)
 
+    # per call, as in parse_conll09: props cell -> its (opened, closed) groups,
+    # and (opened label text, first row, last row) -> one span part
+    labels: dict[str, RoleLabel] = {}
+    cells: dict[str, tuple[str | None, str | None]] = {}
+    spans: dict[tuple[str, int, int], RawArgument] = {}
     sentences = []
     for sent_no, (forms, block) in enumerate(zip(word_blocks, prop_blocks), start=1):
         rows = []
@@ -238,32 +260,37 @@ def parse_conll05(words: str, props: str,
         predicates = []
         for j in range(width - 1):
             parts = []
+            open_text = ""
             open_label: RoleLabel | None = None
             open_start = 0
             open_line = 0
             for i, (lineno, cols) in enumerate(rows):
                 cell = cols[1 + j]
-                m = _PROPS_CELL.match(cell)
-                if not m:
-                    raise ParseError("malformed props cell %r" % cell, line=lineno, path=path)
-                opened, closed = m.group(1), m.group(2)
+                groups = cells.get(cell)
+                if groups is None:
+                    m = _PROPS_CELL.match(cell)
+                    if not m:
+                        raise ParseError("malformed props cell %r" % cell, line=lineno, path=path)
+                    groups = cells[cell] = m.groups()
+                opened, closed = groups
                 if opened is not None:
                     if open_label is not None:
                         raise OverlappingSpan(
                             "span %s opened inside an open %s span" % (opened, open_label),
                             line=lineno, path=path)
-                    try:
-                        open_label = RoleLabel.parse(opened)
-                    except LabelError as exc:
-                        raise ParseError(str(exc), line=lineno, path=path)
+                    open_label = _role(labels, opened, lineno, path)
+                    open_text = opened
                     open_start = i
                     open_line = lineno
                 if closed is not None:
                     if open_label is None:
                         raise UnbalancedBracket("close bracket without an open span",
                                                 line=lineno, path=path)
-                    parts.append(RawArgument(label=open_label,
-                                             extent=tuple(range(open_start + 1, i + 2))))
+                    part = spans.get((open_text, open_start, i))
+                    if part is None:
+                        part = spans[open_text, open_start, i] = RawArgument(
+                            label=open_label, extent=tuple(range(open_start + 1, i + 2)))
+                    parts.append(part)
                     open_label = None
             if open_label is not None:
                 raise UnbalancedBracket("span %s never closed" % open_label,

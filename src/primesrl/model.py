@@ -122,7 +122,11 @@ class Token:
 
 @dataclass(frozen=True)
 class RawArgument:
-    """One labeled part: a single head token or one contiguous span run."""
+    """One labeled part: a single head token or one contiguous span run.
+
+    The extent is checked on construction to be sorted and duplicate-free,
+    so it can serve as a scoring unit's token tuple as it is.
+    """
 
     label: RoleLabel
     extent: tuple[int, ...]

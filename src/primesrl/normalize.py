@@ -31,16 +31,13 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
 
     units = []
     for (base, is_ref), parts in groups.items():
-        parts = sorted(parts, key=lambda a: a.extent[0])
+        label = RoleLabel(base, False, is_ref)
         if any(p.label.is_continuation for p in parts):
-            clusters = [parts]
+            tokens = tuple(sorted({t for p in parts for t in p.extent}))
+            units.append(MergedArgument(base_label=label, tokens=tokens))
         else:
-            clusters = [[p] for p in parts]
-        for cluster in clusters:
-            tokens = tuple(sorted({t for p in cluster for t in p.extent}))
-            units.append(MergedArgument(
-                base_label=RoleLabel(base, False, is_ref),
-                tokens=tokens))
+            # a RawArgument extent is already sorted and duplicate-free
+            units.extend(MergedArgument(base_label=label, tokens=p.extent) for p in parts)
     units.sort(key=lambda u: (u.tokens[0], str(u.base_label)))
     return units
 

@@ -196,6 +196,14 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "error: cannot write %s:" % target in capsys.readouterr().err
 
+    def test_repeated_sidecar_row(self, tmp_path, capsys):
+        sidecar = tmp_path / "gold.senses"
+        sidecar.write_text("1\t6\ttax.01\n1\t6\ttax.05\n")
+        code = run(["evaluate", "--format", "conll05", "--words", path("tax.words"),
+                    "--senses", str(sidecar), path("tax_gold.props"), path("tax_p1.props")])
+        assert code == cli.EXIT_PARSE
+        assert "parse error: %s:line 2: " % sidecar in capsys.readouterr().err
+
     def test_stats_span_format_rejects_head_mode(self, capsys):
         code = run(["stats", "--format", "conll05", "--mode", "head",
                     "--words", path("tax.words"), path("tax_gold.props")])

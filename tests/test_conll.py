@@ -1,6 +1,8 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DATA, load_head, load_span
 from corpusgen import perturb_corpus, random_corpus
@@ -92,6 +94,26 @@ class TestParseHead:
             parse_conll09("1\tword\n", path="sys.conll")
         assert "sys.conll" in str(err.value)
 
+    def test_repeated_malformed_sense_warns_at_each_line(self):
+        sentence = "\n".join([row(1, "He", apreds=["A0"]),
+                              row(2, "goes", "Y", "goes", ["_"])]) + "\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = parse_conll09(sentence + "\n" + sentence)
+        messages = [str(w.message) for w in caught
+                    if issubclass(w.category, MalformedSenseWarning)]
+        assert len(messages) == 2
+        assert messages[0].startswith("line 2: ") and messages[1].startswith("line 5: ")
+        assert [s.predicates[0].sense for s in corpus.sentences] == [None, None]
+
+    def test_repeated_invalid_role_reports_first_line(self):
+        text = "\n".join([row(1, "He", apreds=["_"]),
+                          row(2, "goes", "Y", "go.01", ["C-C-A0"]),
+                          row(3, "home", apreds=["C-C-A0"])]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll09(text)
+        assert err.value.line == 2
+
 
 class TestParseSpan:
     WORDS = "This\nis\nfine\nfor\nnow\n"
@@ -118,6 +140,12 @@ class TestParseSpan:
             parse_sense_sidecar("1\t3\n")
         assert err.value.line == 1
 
+    def test_sidecar_rejects_a_repeated_key(self):
+        with pytest.raises(ParseError) as err:
+            parse_sense_sidecar("1\t3\ttax.03\n# again\n1\t3\ttax.05\n", path="s.senses")
+        assert err.value.line == 3
+        assert "s.senses:line 3: " in str(err.value)
+
     def test_unclosed_span_reports_opening_line(self):
         props = "\n".join(["-\t*", "be\t(V*)", "-\t(A0*", "-\t*", "-\t*"]) + "\n"
         with pytest.raises(UnbalancedBracket) as err:
@@ -137,6 +165,12 @@ class TestParseSpan:
 
     def test_malformed_cell(self):
         props = "\n".join(["-\t(A0*)", "-\t((", "be\t(V*)", "-\t*", "-\t*"]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll05(self.WORDS, props)
+        assert err.value.line == 2
+
+    def test_repeated_malformed_cell_reports_first_line(self):
+        props = "\n".join(["-\t(A0*)", "-\t((", "be\t(V*)", "-\t((", "-\t*"]) + "\n"
         with pytest.raises(ParseError) as err:
             parse_conll05(self.WORDS, props)
         assert err.value.line == 2
@@ -170,6 +204,21 @@ class TestSerialize:
             corpus = load_span("tax" if name.startswith("tax") else "lead", name)
             words, props = serialize_conll05(corpus)
             assert parse_conll05(words, props) == corpus
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]))
+    def test_generated_corpus_round_trip(self, seed, mode):
+        # many sentences, so records the parsers share across sentences are compared too
+        corpus = random_corpus(random.Random(seed), n_sentences=25, mode=mode,
+                               max_tokens=20, max_preds=4, max_args=5, with_sense=True)
+        if mode == "head":
+            assert parse_conll09(serialize_conll09(corpus)) == corpus
+            return
+        words, props = serialize_conll05(corpus)
+        sidecar = "".join("%d\t%d\t%s\n" % (i, p.anchor, p.sense)
+                          for i, sentence in enumerate(corpus.sentences, start=1)
+                          for p in sentence.predicates)
+        assert parse_conll05(words, props, senses=parse_sense_sidecar(sidecar)) == corpus
 
     def test_mode_mismatch(self):
         head = load_head("buy_gold")
