@@ -71,14 +71,6 @@ def _load_pair(args) -> tuple[Corpus, Corpus]:
     return gold, load_corpus(args.system, args.format, args.words, args.senses_system)
 
 
-def _resolve_mode(args) -> str:
-    if args.format == "conll05":
-        if args.mode == "head":
-            raise ConfigError("conll05 input is span-based; --mode head is not valid")
-        return "span"
-    return args.mode or "head"
-
-
 def _metric_name(metric: str, mode: str) -> str:
     if metric == "legacy":
         return "legacy_head" if mode == "head" else "legacy_span"
@@ -121,11 +113,10 @@ def _report_json(report: ScoreReport, flags: dict) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    mode = _resolve_mode(args)
     gold, system = _load_pair(args)
-    metric = _metric_name(args.metric, mode)
-    report = evaluate(gold, system, metric, mode)
-    print(_bold("Metric: %s  Mode: %s" % (metric, mode)))
+    metric = _metric_name(args.metric, gold.mode)
+    report = evaluate(gold, system, metric)
+    print(_bold("Metric: %s  Mode: %s" % (metric, report.mode)))
     print("Predicate F1: %.4f  (%s)" % (report.predicate_counts.f1,
                                         _counts_line(report.predicate_counts)))
     print("Argument F1: %.4f  (%s)" % (report.argument_counts.f1,
@@ -134,7 +125,7 @@ def cmd_evaluate(args) -> int:
         _print_per_label(report.per_label)
     if args.json:
         flags = {"gold": args.gold, "system": args.system, "format": args.format,
-                 "metric": args.metric, "mode": mode, "words": args.words,
+                 "metric": args.metric, "mode": report.mode, "words": args.words,
                  "senses": args.senses, "per_label": args.per_label}
         try:
             with open(args.json, "w", encoding="utf-8") as handle:
@@ -146,11 +137,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    mode = _resolve_mode(args)
     gold, system = _load_pair(args)
-    legacy_metric = _metric_name("legacy", mode)
-    legacy = evaluate(gold, system, legacy_metric, mode)
-    strict = evaluate(gold, system, "primesrl", mode)
+    legacy = evaluate(gold, system, _metric_name("legacy", gold.mode))
+    strict = evaluate(gold, system, "primesrl")
     print(_bold("%-12s %10s %8s %8s %8s" % ("metric", "pred F1", "arg P", "arg R", "arg F1")))
     for report in (legacy, strict):
         print("%-12s %10.4f %8.4f %8.4f %8.4f"
@@ -163,7 +152,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    _resolve_mode(args)
     corpus = load_corpus(args.path, args.format, args.words, args.senses)
     stats = corpus_stats(corpus)
     print(_bold("Corpus statistics"))
@@ -177,18 +165,14 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _add_io_args(parser, with_metric: bool) -> None:
+def _add_io_args(parser) -> None:
     parser.add_argument("--format", choices=("conll09", "conll05"), default="conll09",
-                        help="input file format (default: conll09)")
-    parser.add_argument("--mode", choices=("head", "span"), default=None,
-                        help="scoring mode (default: head for conll09, span for conll05)")
+                        help="input file format; it sets the scoring mode, head for "
+                        "conll09 and span for conll05 (default: conll09)")
     parser.add_argument("--words", default=None,
                         help="token file shared by gold and system (conll05 only)")
     parser.add_argument("--senses", default=None,
                         help="sense sidecar for the gold side (conll05 only)")
-    if with_metric:
-        parser.add_argument("--metric", choices=("primesrl", "legacy"), default="primesrl",
-                            help="scoring metric (default: primesrl)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score one system file with one metric")
     ev.add_argument("gold")
     ev.add_argument("system")
-    _add_io_args(ev, with_metric=True)
+    _add_io_args(ev)
+    ev.add_argument("--metric", choices=("primesrl", "legacy"), default="primesrl",
+                    help="scoring metric (default: primesrl)")
     ev.add_argument("--senses-system", default=None,
                     help="sense sidecar for the system side (conll05 only)")
     ev.add_argument("--per-label", action="store_true", help="print a per-label table")
@@ -212,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="strict vs legacy metric, side by side")
     cmp_.add_argument("gold")
     cmp_.add_argument("system")
-    _add_io_args(cmp_, with_metric=False)
+    _add_io_args(cmp_)
     cmp_.add_argument("--senses-system", default=None,
                       help="sense sidecar for the system side (conll05 only)")
     cmp_.set_defaults(func=cmd_compare)
 
     st = sub.add_parser("stats", help="continuation/reference statistics of one file")
     st.add_argument("path")
-    _add_io_args(st, with_metric=False)
+    _add_io_args(st)
     st.set_defaults(func=cmd_stats)
     return parser
 

@@ -204,10 +204,7 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
     senses: dict[tuple[int, int], SenseLabel] = {}
     labels: dict[str, SenseLabel] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in (row for block in _blocks(text) for row in block):
         parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected 3 fields (sentence, token, lemma.sense)",
@@ -254,8 +251,6 @@ def parse_conll05(words: str, props: str,
             if len(cols) != width:
                 raise ColumnCountMismatch("expected %d columns, found %d" % (width, len(cols)),
                                           line=lineno, path=path)
-        if width < 1:
-            raise ColumnCountMismatch("empty props row", line=rows[0][0], path=path)
 
         predicates = []
         for j in range(width - 1):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 CORE_BASES = ("A0", "A1", "A2", "A3", "A4", "A5", "AA")
 VERB_BASE = "V"
@@ -206,5 +206,5 @@ class ScoreReport:
     mode: str  # head | span
     predicate_counts: EvalCounts
     argument_counts: EvalCounts
-    per_label: dict[str, EvalCounts] = field(default_factory=dict)
-    per_sentence: list[EvalCounts] | None = None
+    per_label: dict[str, EvalCounts]
+    per_sentence: list[EvalCounts]  # one entry per aligned sentence, in order

@@ -45,11 +45,13 @@ def _score_predicates(aligned: AlignedCorpus, correct_fn) -> EvalCounts:
         if correct_fn is None:
             correct += len(sent.pairs)
             continue
+        # every gold predicate, matched or missed; both lists are in anchor order
+        unsensed = [gp.anchor for gp, _ in sent.pairs if gp.sense is None]
+        unsensed += [gp.anchor for gp in sent.missed if gp.sense is None]
+        if unsensed:
+            raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
+                                   % (sent.index, min(unsensed)))
         for gp, sp in sent.pairs:
-            if gp.sense is None:
-                raise MissingGoldSense(
-                    "sentence %d: gold predicate at token %d has no sense"
-                    % (sent.index, gp.anchor))
             if sp.sense is not None and correct_fn(gp, sp):
                 correct += 1
     return EvalCounts(correct, predicted, gold)
@@ -211,22 +213,15 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def _gold_has_senses(aligned: AlignedCorpus) -> bool:
-    return any(gp.sense is not None
-               for sent in aligned.sentences
-               for gp in ([p for p, _ in sent.pairs] + sent.missed))
-
-
-def evaluate(gold: Corpus, system: Corpus, metric: str, mode: str,
-             per_sentence: bool = False) -> ScoreReport:
-    """Score a gold/system pair with one metric and fill a full report."""
+def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:
+    """Score a gold/system pair with one metric; the report takes the gold corpus's mode."""
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % metric)
-    if mode not in ("head", "span"):
-        raise ValueError("unknown mode %r" % mode)
     aligned = align(gold, system)
 
-    if metric == "legacy_span" or not _gold_has_senses(aligned):
+    gold_has_senses = any(gp.sense is not None
+                          for sentence in gold.sentences for gp in sentence.predicates)
+    if metric == "legacy_span" or not gold_has_senses:
         predicate_counts = score_predicates_trivial(aligned)
     elif metric == "primesrl":
         predicate_counts = score_predicates_primesrl(aligned)
@@ -235,17 +230,22 @@ def evaluate(gold: Corpus, system: Corpus, metric: str, mode: str,
 
     units, credit = METRICS[metric]
     labels: dict[str, list[int]] = {}
-    sentence_counts = []
+    per_sentence = []
+    # equal tallies share one frozen record: a new record per sentence keeps enough
+    # objects alive to cost a span `compare` one more full garbage-collector pass
+    shared: dict[tuple[int, ...], EvalCounts] = {}
     total = [0, 0, 0]
     for sent in aligned.sentences:
-        counts = _score_sentence(sent, units, credit, labels)
+        counts = tuple(_score_sentence(sent, units, credit, labels))
         for i in range(3):
             total[i] += counts[i]
-        if per_sentence:
-            sentence_counts.append(EvalCounts(*counts))
+        record = shared.get(counts)
+        if record is None:
+            record = shared[counts] = EvalCounts(*counts)
+        per_sentence.append(record)
 
-    return ScoreReport(metric=metric, mode=mode,
+    return ScoreReport(metric=metric, mode=gold.mode,
                        predicate_counts=predicate_counts,
                        argument_counts=EvalCounts(*total),
                        per_label={label: EvalCounts(*row) for label, row in labels.items()},
-                       per_sentence=sentence_counts if per_sentence else None)
+                       per_sentence=per_sentence)

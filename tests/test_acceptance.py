@@ -42,8 +42,8 @@ def _verdict(name, ok):
     assert ok, name
 
 
-def _arg_counts(gold, system, metric, mode):
-    return counts(evaluate(gold, system, metric, mode).argument_counts)
+def _arg_counts(gold, system, metric):
+    return counts(evaluate(gold, system, metric).argument_counts)
 
 
 def test_criterion_01_sense_conditioning_golden_scores():
@@ -54,8 +54,8 @@ def test_criterion_01_sense_conditioning_golden_scores():
     ok = True
     for case in prime_pred:
         system = load_head("buy_" + case)
-        strict = evaluate(gold, system, "primesrl", "head")
-        legacy = evaluate(gold, system, "legacy_head", "head")
+        strict = evaluate(gold, system, "primesrl")
+        legacy = evaluate(gold, system, "legacy_head")
         ok &= counts(strict.predicate_counts) == prime_pred[case]
         ok &= counts(strict.argument_counts) == prime_args[case]
         ok &= counts(legacy.predicate_counts) == legacy_pred[case]
@@ -72,8 +72,8 @@ def test_criterion_02_discontinuous_arguments_head():
     ok = True
     for case in TAX_CASES:
         system = load_head("tax_" + case)
-        ok &= _arg_counts(gold, system, "primesrl", "head") == prime[case]
-        c, p, g = _arg_counts(gold, system, "legacy_head", "head")
+        ok &= _arg_counts(gold, system, "primesrl") == prime[case]
+        c, p, g = _arg_counts(gold, system, "legacy_head")
         ok &= (c, g) == legacy_cg[case]
         if case != "p7":  # p7 precision denominator intentionally unchecked
             ok &= p == 4
@@ -89,8 +89,8 @@ def test_criterion_03_discontinuous_arguments_span():
     ok = True
     for case in TAX_CASES:
         system = load_span("tax", "tax_" + case)
-        ok &= _arg_counts(gold, system, "primesrl", "span") == prime[case]
-        ok &= _arg_counts(gold, system, "legacy_span", "span") == legacy[case]
+        ok &= _arg_counts(gold, system, "primesrl") == prime[case]
+        ok &= _arg_counts(gold, system, "legacy_span") == legacy[case]
     _verdict("criterion 3 (discontinuous arguments, span mode)", ok)
 
 
@@ -105,11 +105,11 @@ def test_criterion_04_reference_arguments():
     for case in LEAD_CASES:
         sys_head = load_head("lead_" + case)
         sys_span = load_span("lead", "lead_" + case)
-        ok &= _arg_counts(gold_head, sys_head, "primesrl", "head") == prime[case]
-        ok &= _arg_counts(gold_span, sys_span, "primesrl", "span") == prime[case]
-        ok &= _arg_counts(gold_head, sys_head, "legacy_head", "head") == legacy[case]
+        ok &= _arg_counts(gold_head, sys_head, "primesrl") == prime[case]
+        ok &= _arg_counts(gold_span, sys_span, "primesrl") == prime[case]
+        ok &= _arg_counts(gold_head, sys_head, "legacy_head") == legacy[case]
         if case != "p5":  # legacy span duplicate-reference cell intentionally unchecked
-            ok &= _arg_counts(gold_span, sys_span, "legacy_span", "span") == legacy[case]
+            ok &= _arg_counts(gold_span, sys_span, "legacy_span") == legacy[case]
     _verdict("criterion 4 (reference arguments)", ok)
 
 
@@ -121,8 +121,8 @@ def test_criterion_05_strictness():
         legacy = "legacy_head" if mode == "head" else "legacy_span"
         gold = random_corpus(rng, n_sentences=2, mode=mode)
         system = perturb_corpus(rng, gold)
-        strict_correct = _arg_counts(gold, system, "primesrl", mode)[0]
-        legacy_correct = _arg_counts(gold, system, legacy, mode)[0]
+        strict_correct = _arg_counts(gold, system, "primesrl")[0]
+        legacy_correct = _arg_counts(gold, system, legacy)[0]
         ok &= strict_correct <= legacy_correct
     _verdict("criterion 5 (strictness: never more lenient than legacy)", ok)
 
@@ -142,18 +142,18 @@ def test_criterion_06_sense_flip():
     trials = 0
     while trials < 100:
         gold = Corpus([random_sentence(rng, max_preds=1, mode="head")], mode="head")
-        base = evaluate(gold, gold, "primesrl", "head")
+        base = evaluate(gold, gold, "primesrl")
         if not any(RoleLabel.parse(lbl).is_core for lbl in base.per_label):
             continue
         trials += 1
         flipped = _flip_sense(gold)
         # legacy argument scoring ignores the sense entirely
-        leg_before = evaluate(gold, gold, "legacy_head", "head")
-        leg_after = evaluate(gold, flipped, "legacy_head", "head")
+        leg_before = evaluate(gold, gold, "legacy_head")
+        leg_after = evaluate(gold, flipped, "legacy_head")
         ok &= counts(leg_before.argument_counts) == counts(leg_after.argument_counts)
         ok &= leg_before.per_label == leg_after.per_label
         # the strict metric drops exactly the core units
-        strict = evaluate(gold, flipped, "primesrl", "head")
+        strict = evaluate(gold, flipped, "primesrl")
         for lbl, c in strict.per_label.items():
             if RoleLabel.parse(lbl).is_core:
                 ok &= c.correct == 0
@@ -203,8 +203,8 @@ def test_criterion_07_continuation_prefix_permutation():
         if not changed:
             continue
         trials += 1
-        a = evaluate(gold, system, "primesrl", mode)
-        b = evaluate(gold, permuted, "primesrl", mode)
+        a = evaluate(gold, system, "primesrl")
+        b = evaluate(gold, permuted, "primesrl")
         ok &= counts(a.predicate_counts) == counts(b.predicate_counts)
         ok &= counts(a.argument_counts) == counts(b.argument_counts)
         ok &= a.per_label == b.per_label
@@ -234,13 +234,13 @@ def test_criterion_08_reference_dependency():
         base = refs[0]
         ref_label = "R-" + base
         deleted = _delete_referent(gold, base)
-        full_strict = evaluate(gold, gold, "primesrl", "head")
-        del_strict = evaluate(gold, deleted, "primesrl", "head")
+        full_strict = evaluate(gold, gold, "primesrl")
+        del_strict = evaluate(gold, deleted, "primesrl")
         ok &= full_strict.per_label[ref_label].correct == 1
         ok &= del_strict.per_label[ref_label].correct == 0
         # legacy credit for the R- unit does not depend on its referent
-        full_legacy = evaluate(gold, gold, "legacy_head", "head")
-        del_legacy = evaluate(gold, deleted, "legacy_head", "head")
+        full_legacy = evaluate(gold, gold, "legacy_head")
+        del_legacy = evaluate(gold, deleted, "legacy_head")
         ok &= full_legacy.per_label[ref_label] == del_legacy.per_label[ref_label]
     _verdict("criterion 8 (reference credit requires a correct referent)", ok)
 
@@ -255,7 +255,7 @@ def test_criterion_09_oracle_equivalence():
         aligned = align(gold, system)
         oracle = sum(oracle_correct(gp, sp, mode)
                      for sent in aligned.sentences for gp, sp in sent.pairs)
-        production = _arg_counts(gold, system, "primesrl", mode)[0]
+        production = _arg_counts(gold, system, "primesrl")[0]
         ok &= oracle == production
     _verdict("criterion 9 (brute-force oracle agreement)", ok)
 

@@ -75,6 +75,16 @@ class TestEvaluate:
         assert data["arguments"]["correct"] == 2
         assert data["per_label"]["AM-TMP"]["f1"] == 1.0
 
+    def test_span_report_takes_its_mode_from_the_format(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = run(["evaluate", "--format", "conll05", "--words", path("tax.words"),
+                    "--json", str(report_path), path("tax_gold.props"), path("tax_p1.props")])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK
+        assert out.startswith("Metric: primesrl  Mode: span\n")
+        data = json.loads(report_path.read_text())
+        assert data["mode"] == "span" and data["flags"]["mode"] == "span"
+
     def test_no_color_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PRIME_SRL_NO_COLOR", "1")
         run(["evaluate", path("buy_gold.conll"), path("buy_gold.conll")])
@@ -143,12 +153,6 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "--words" in capsys.readouterr().err
 
-    def test_span_format_rejects_head_mode(self, capsys):
-        code = run(["evaluate", "--format", "conll05", "--mode", "head",
-                    "--words", path("tax.words"),
-                    path("tax_gold.props"), path("tax_p1.props")])
-        assert code == cli.EXIT_CONFIG
-
     def test_unreadable_file(self, capsys):
         code = run(["evaluate", path("no_such_file.conll"), path("buy_gold.conll")])
         assert code == cli.EXIT_CONFIG
@@ -189,6 +193,21 @@ class TestExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "sentence 2" in err and "token 4" in err
 
+    @pytest.mark.parametrize("system", ["keeps", "misses"])
+    def test_partly_sensed_gold_whatever_the_system(self, system, tmp_path, capsys):
+        # sentence 2 of the gold file has a predicate without a sense; the system
+        # either keeps that predicate or has no predicate in sentence 2
+        one = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
+        no_predicate = "".join("\t".join(line.split("\t")[:12] + ["_", "_"]) + "\n"
+                               for line in one.splitlines() if line)
+        gold, other = tmp_path / "gold.conll", tmp_path / "system.conll"
+        gold.write_text(one + one.replace("buy.01", "_"))
+        other.write_text(one + (one if system == "keeps" else no_predicate))
+        code = run(["evaluate", str(gold), str(other)])
+        assert code == cli.EXIT_CONFIG
+        assert ("error: sentence 2: gold predicate at token 4 has no sense"
+                in capsys.readouterr().err)
+
     def test_json_into_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "missing" / "r.json"
         code = run(["evaluate", "--json", str(target),
@@ -203,9 +222,4 @@ class TestExitCodes:
                     "--senses", str(sidecar), path("tax_gold.props"), path("tax_p1.props")])
         assert code == cli.EXIT_PARSE
         assert "parse error: %s:line 2: " % sidecar in capsys.readouterr().err
-
-    def test_stats_span_format_rejects_head_mode(self, capsys):
-        code = run(["stats", "--format", "conll05", "--mode", "head",
-                    "--words", path("tax.words"), path("tax_gold.props")])
-        assert code == cli.EXIT_CONFIG
 

@@ -141,10 +141,13 @@ class TestParseSpan:
         assert err.value.line == 1
 
     def test_sidecar_rejects_a_repeated_key(self):
-        with pytest.raises(ParseError) as err:
-            parse_sense_sidecar("1\t3\ttax.03\n# again\n1\t3\ttax.05\n", path="s.senses")
-        assert err.value.line == 3
-        assert "s.senses:line 3: " in str(err.value)
+        # blank and comment lines are skipped but still counted, as in the CoNLL files
+        for text, line in (("1\t3\ttax.03\n# again\n1\t3\ttax.05\n", 3),
+                           ("1\t3\ttax.03\n\n   # again\n1\t3\ttax.05\n", 4)):
+            with pytest.raises(ParseError) as err:
+                parse_sense_sidecar(text, path="s.senses")
+            assert err.value.line == line
+            assert "s.senses:line %d: " % line in str(err.value)
 
     def test_unclosed_span_reports_opening_line(self):
         props = "\n".join(["-\t*", "be\t(V*)", "-\t(A0*", "-\t*", "-\t*"]) + "\n"

@@ -57,6 +57,24 @@ class TestPredicateScorers:
         with pytest.raises(MissingGoldSense):
             score_predicates_primesrl(aligned)
 
+    def test_missed_gold_predicate_without_sense_raises(self):
+        sensed, unsensed = single_pred_corpus("buy.01"), single_pred_corpus(None)
+        gold = Corpus(sensed.sentences + unsensed.sentences, mode="head")
+        system = Corpus(sensed.sentences + [Sentence(unsensed.sentences[0].tokens, [])],
+                        mode="head")
+        with pytest.raises(MissingGoldSense, match="sentence 2: gold predicate at token 1 "):
+            score_predicates_primesrl(align(gold, system))
+
+    def test_first_sense_less_gold_predicate_in_file_order_is_named(self):
+        # token 1 is missed by the system, token 2 is matched; neither has a sense
+        tokens = [Token(1, "stares"), Token(2, "looks")]
+        gold = Corpus([Sentence(tokens, [PredicateInstance(1, None, ()),
+                                         PredicateInstance(2, None, ())])], mode="head")
+        system = Corpus([Sentence(tokens, [PredicateInstance(2, SenseLabel("look", "01"), ())])],
+                        mode="head")
+        with pytest.raises(MissingGoldSense, match="sentence 1: gold predicate at token 1 "):
+            score_predicates_primesrl(align(gold, system))
+
     def test_trivial_convention(self):
         aligned = align(single_pred_corpus(None), single_pred_corpus(None))
         assert counts(score_predicates_trivial(aligned)) == (1, 1, 1)
@@ -72,19 +90,19 @@ class TestSenseConditionedArguments:
     @pytest.mark.parametrize("case", ["gold", "p1", "p2", "p3"])
     def test_strict(self, case):
         report = evaluate(load_head("buy_gold"), load_head("buy_" + case),
-                          "primesrl", "head")
+                          "primesrl")
         assert counts(report.predicate_counts) == self.PRIME_PRED[case]
         assert counts(report.argument_counts) == self.PRIME_ARGS[case]
 
     @pytest.mark.parametrize("case", ["gold", "p1", "p2", "p3"])
     def test_legacy(self, case):
         report = evaluate(load_head("buy_gold"), load_head("buy_" + case),
-                          "legacy_head", "head")
+                          "legacy_head")
         assert counts(report.predicate_counts) == self.LEGACY_PRED[case]
         assert counts(report.argument_counts) == (3, 3, 3)
 
     def test_per_label_breakdown(self):
-        report = evaluate(load_head("buy_gold"), load_head("buy_p3"), "primesrl", "head")
+        report = evaluate(load_head("buy_gold"), load_head("buy_p3"), "primesrl")
         assert counts(report.per_label["AM-TMP"]) == (1, 1, 1)
         assert counts(report.per_label["A0"]) == (0, 1, 1)
         assert counts(report.per_label["A1"]) == (0, 1, 1)
@@ -103,30 +121,30 @@ class TestDiscontinuousArguments:
     @pytest.mark.parametrize("case", TAX_CASES)
     def test_strict_head(self, case):
         report = evaluate(load_head("tax_gold"), load_head("tax_" + case),
-                          "primesrl", "head")
+                          "primesrl")
         assert counts(report.argument_counts) == self.PRIME[case]
 
     @pytest.mark.parametrize("case", TAX_CASES)
     def test_strict_span(self, case):
         report = evaluate(load_span("tax", "tax_gold"), load_span("tax", "tax_" + case),
-                          "primesrl", "span")
+                          "primesrl")
         assert counts(report.argument_counts) == self.PRIME[case]
 
     @pytest.mark.parametrize("case", TAX_CASES)
     def test_legacy_head(self, case):
         report = evaluate(load_head("tax_gold"), load_head("tax_" + case),
-                          "legacy_head", "head")
+                          "legacy_head")
         assert counts(report.argument_counts) == self.LEGACY_HEAD[case]
 
     @pytest.mark.parametrize("case", TAX_CASES)
     def test_legacy_span(self, case):
         report = evaluate(load_span("tax", "tax_gold"), load_span("tax", "tax_" + case),
-                          "legacy_span", "span")
+                          "legacy_span")
         assert counts(report.argument_counts) == self.LEGACY_SPAN[case]
 
     def test_span_predicates_use_the_trivial_convention(self):
         report = evaluate(load_span("tax", "tax_gold"), load_span("tax", "tax_p1"),
-                          "legacy_span", "span")
+                          "legacy_span")
         assert counts(report.predicate_counts) == (1, 1, 1)
 
 
@@ -141,25 +159,25 @@ class TestReferenceArguments:
     @pytest.mark.parametrize("case", LEAD_CASES)
     def test_strict_head(self, case):
         report = evaluate(load_head("lead_gold"), load_head("lead_" + case),
-                          "primesrl", "head")
+                          "primesrl")
         assert counts(report.argument_counts) == self.PRIME[case]
 
     @pytest.mark.parametrize("case", LEAD_CASES)
     def test_strict_span(self, case):
         report = evaluate(load_span("lead", "lead_gold"), load_span("lead", "lead_" + case),
-                          "primesrl", "span")
+                          "primesrl")
         assert counts(report.argument_counts) == self.PRIME[case]
 
     @pytest.mark.parametrize("case", LEAD_CASES)
     def test_legacy_head(self, case):
         report = evaluate(load_head("lead_gold"), load_head("lead_" + case),
-                          "legacy_head", "head")
+                          "legacy_head")
         assert counts(report.argument_counts) == self.LEGACY_HEAD[case]
 
     def test_incorrect_reference_never_penalizes_the_referent(self):
         # system A0 is correct even though its R-A0 points elsewhere
         report = evaluate(load_head("lead_gold"), load_head("lead_p2"),
-                          "primesrl", "head")
+                          "primesrl")
         assert counts(report.per_label["A0"]) == (1, 1, 1)
         assert counts(report.per_label["R-A0"]) == (0, 0, 1)
 
@@ -175,12 +193,12 @@ class TestReferenceArguments:
 
     @pytest.mark.parametrize("system", [(2, 5), (3, 4)], ids=["first", "second"])
     def test_ambiguous_referent_credited_by_either_referent(self, system):
-        report = evaluate(self.ambiguous(2, 4), self.ambiguous(*system), "primesrl", "head")
+        report = evaluate(self.ambiguous(2, 4), self.ambiguous(*system), "primesrl")
         assert counts(report.per_label["R-A0"]) == (1, 1, 1)
         assert counts(report.argument_counts) == (2, 3, 3)
 
     def test_ambiguous_referent_without_credited_referent(self):
-        report = evaluate(self.ambiguous(2, 4), self.ambiguous(3, 5), "primesrl", "head")
+        report = evaluate(self.ambiguous(2, 4), self.ambiguous(3, 5), "primesrl")
         assert counts(report.per_label["R-A0"]) == (0, 1, 1)
         assert counts(report.argument_counts) == (0, 3, 3)
 
@@ -192,7 +210,7 @@ class TestUnknownRole:
         gold = parse_conll09(text)
         system = parse_conll09(text.replace("buy.01", system_sense))
         with pytest.warns(UserWarning, match="XYZ"):
-            evaluate(gold, system, "primesrl", "head")
+            evaluate(gold, system, "primesrl")
 
 
 class TestChainSpans:
@@ -219,7 +237,7 @@ class TestMissingAndSpuriousPredicates:
         system = Corpus([Sentence(tokens=[Token(t.index, t.form) for t in
                                           gold.sentences[0].tokens],
                                   predicates=[])], mode="head")
-        report = evaluate(gold, system, "primesrl", "head")
+        report = evaluate(gold, system, "primesrl")
         assert counts(report.predicate_counts) == (0, 0, 1)
         assert counts(report.argument_counts) == (0, 0, 3)
 
@@ -230,7 +248,7 @@ class TestMissingAndSpuriousPredicates:
             anchor=2, sense=SenseLabel("be", "01"),
             arguments=(RawArgument(RoleLabel("A1"), (5,)),))
         system.sentences[0].predicates.append(extra)
-        report = evaluate(gold, system, "primesrl", "head")
+        report = evaluate(gold, system, "primesrl")
         assert counts(report.predicate_counts) == (1, 2, 1)
         assert counts(report.argument_counts) == (3, 4, 3)
 
@@ -265,23 +283,21 @@ class TestEvaluateDispatch:
     @pytest.mark.parametrize("name", ["buy_gold", "tax_p4", "lead_p4"])
     def test_self_identity(self, metric, name):
         corpus = load_head(name)
-        report = evaluate(corpus, corpus, metric, "head")
+        report = evaluate(corpus, corpus, metric)
         assert report.predicate_counts.f1 == 1.0
         assert report.argument_counts.f1 == 1.0
 
     def test_unknown_metric_or_mode(self):
         corpus = load_head("buy_gold")
         with pytest.raises(ValueError):
-            evaluate(corpus, corpus, "bleu", "head")
-        with pytest.raises(ValueError):
-            evaluate(corpus, corpus, "primesrl", "tree")
+            evaluate(corpus, corpus, "bleu")
 
     def test_per_sentence_counts_fold_to_the_total(self):
         gold = Corpus(load_head("tax_gold").sentences + load_head("tax_gold").sentences,
                       mode="head")
         system = Corpus(load_head("tax_p1").sentences + load_head("tax_p5").sentences,
                         mode="head")
-        report = evaluate(gold, system, "primesrl", "head", per_sentence=True)
+        report = evaluate(gold, system, "primesrl")
         assert len(report.per_sentence) == 2
         folded = (sum(c.correct for c in report.per_sentence),
                   sum(c.predicted for c in report.per_sentence),
@@ -289,7 +305,7 @@ class TestEvaluateDispatch:
         assert folded == counts(report.argument_counts)
 
     def test_per_label_totals_match_the_overall_counts(self):
-        report = evaluate(load_head("tax_gold"), load_head("tax_p1"), "primesrl", "head")
+        report = evaluate(load_head("tax_gold"), load_head("tax_p1"), "primesrl")
         total = (sum(c.correct for c in report.per_label.values()),
                  sum(c.predicted for c in report.per_label.values()),
                  sum(c.gold for c in report.per_label.values()))
