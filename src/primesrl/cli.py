@@ -16,7 +16,7 @@ from .conll import (
     parse_conll09,
     parse_sense_sidecar,
 )
-from .model import EvalCounts, ScoreReport, label_sort_key
+from .model import EvalCounts, ScoreReport
 from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, evaluate
 
 EXIT_OK = 0
@@ -86,8 +86,7 @@ def _counts_line(counts: EvalCounts) -> str:
 def _print_per_label(per_label: dict[str, EvalCounts]) -> None:
     print(_bold("%-10s %8s %10s %8s %9s %9s %9s" %
                 ("label", "correct", "predicted", "gold", "P", "R", "F1")))
-    for label in sorted(per_label, key=label_sort_key):
-        c = per_label[label]
+    for label, c in per_label.items():
         print("%-10s %8d %10d %8d %9.4f %9.4f %9.4f"
               % (label, c.correct, c.predicted, c.gold, c.precision, c.recall, c.f1))
 
@@ -107,8 +106,7 @@ def _report_json(report: ScoreReport, flags: dict) -> dict:
         "mode": report.mode,
         "predicates": _counts_json(report.predicate_counts),
         "arguments": _counts_json(report.argument_counts),
-        "per_label": {label: _counts_json(report.per_label[label])
-                      for label in sorted(report.per_label, key=label_sort_key)},
+        "per_label": {label: _counts_json(c) for label, c in report.per_label.items()},
     }
 
 
@@ -160,8 +158,8 @@ def cmd_stats(args) -> int:
     print("Arguments: %d" % stats.total_arguments)
     print("C-X: %.2f%%" % stats.pct_continuation)
     print("R-X: %.2f%%" % stats.pct_reference)
-    for label in sorted(stats.per_label, key=label_sort_key):
-        print("%-10s %6d" % (label, stats.per_label[label]))
+    for label, n in stats.per_label.items():
+        print("%-10s %6d" % (label, n))
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 CORE_BASES = ("A0", "A1", "A2", "A3", "A4", "A5", "AA")
 VERB_BASE = "V"
@@ -153,21 +154,16 @@ class PredicateInstance:
             seen.add(key)
 
 
-@dataclass(frozen=True)
-class MergedArgument:
-    """A scoring unit after continuation merging.
+class MergedArgument(NamedTuple):
+    """A strict scoring unit: one argument after continuation merging.
 
     base_label never carries a C- prefix; the reference flag is preserved.
+    tokens are non-empty, sorted and duplicate-free. merge_continuations, the
+    only builder, guarantees both, so nothing is checked here.
     """
 
     base_label: RoleLabel
     tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.base_label.is_continuation:
-            raise ValueError("merged argument label must not carry a continuation prefix")
-        if not self.tokens:
-            raise ValueError("merged argument has no tokens")
 
     @property
     def is_reference(self) -> bool:

@@ -24,6 +24,8 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
     carries a C- prefix, regardless of which part carries it; an orphan C-X
     still yields a unit with base X. Plain duplicates without any C-part stay
     separate units. Token sets are unioned identically for head and span data.
+    Units come in the order in which their (base, reference flag) group first
+    appears among the arguments, a group's plain duplicates in argument order.
     """
     groups: dict[tuple[str, bool], list] = {}
     for arg in pred.arguments:
@@ -34,10 +36,9 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
         label = RoleLabel(base, False, is_ref)
         if any(p.label.is_continuation for p in parts):
             tokens = tuple(sorted({t for p in parts for t in p.extent}))
-            units.append(MergedArgument(base_label=label, tokens=tokens))
+            units.append(MergedArgument(label, tokens))
         else:
-            # a RawArgument extent is already sorted and duplicate-free
-            units.extend(MergedArgument(base_label=label, tokens=p.extent) for p in parts)
-    units.sort(key=lambda u: (u.tokens[0], str(u.base_label)))
+            # a RawArgument extent is already non-empty, sorted and duplicate-free
+            units.extend(MergedArgument(label, p.extent) for p in parts)
     return units
 

@@ -13,7 +13,7 @@ Metrics:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .conll import AlignedCorpus, AlignedSentence, Corpus, align
 from .model import (
@@ -21,6 +21,7 @@ from .model import (
     PredicateInstance,
     ScoreReport,
     VERB_BASE,
+    label_sort_key,
 )
 from .normalize import classify, merge_continuations
 
@@ -76,8 +77,8 @@ def score_predicates_trivial(aligned: AlignedCorpus) -> EvalCounts:
 # scoring units: (per-label tally label, match key, ...) items per predicate
 
 def _strict_units(pred: PredicateInstance) -> list[tuple]:
-    """Merged units keyed on (base_label, tokens), with their core flag."""
-    return [(str(u.base_label), (u.base_label, u.tokens), classify(u.base_label) == "core")
+    """Merged units, each its own (base_label, tokens) match key, with their core flag."""
+    return [(str(u.base_label), u, classify(u.base_label) == "core")
             for u in merge_continuations(pred) if not u.base_label.is_verb]
 
 
@@ -118,9 +119,9 @@ def _strict_credit(matched: list[tuple], gp: PredicateInstance,
     """Core units need the joint sense; an R- unit needs a credited same-base referent."""
     if gp.sense is not None and sp.sense != gp.sense:
         matched = [unit for unit in matched if not unit[2]]
-    referents = {role.base for _, (role, _), _ in matched if not role.is_reference}
-    return [(label, (role, tokens), core) for label, (role, tokens), core in matched
-            if not role.is_reference or role.base in referents]
+    referents = {item[1].base_label.base for item in matched if not item[1].is_reference}
+    return [item for item in matched
+            if not item[1].is_reference or item[1].base_label.base in referents]
 
 
 CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] tally
@@ -177,7 +178,7 @@ class CorpusStats:
     total_arguments: int  # raw parts before merging, verb spans excluded
     continuation_count: int
     reference_count: int
-    per_label: dict[str, int] = field(default_factory=dict)
+    per_label: dict[str, int]  # in display order
 
     @property
     def pct_continuation(self) -> float:
@@ -189,25 +190,25 @@ class CorpusStats:
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
-    stats = CorpusStats(total_sentences=len(corpus.sentences),
-                        total_predicates=0, total_arguments=0,
-                        continuation_count=0, reference_count=0)
+    predicates = continuations = references = 0
+    per_label: Counter[str] = Counter()
     for sentence in corpus.sentences:
-        stats.total_predicates += len(sentence.predicates)
+        predicates += len(sentence.predicates)
         for pred in sentence.predicates:
             for arg in pred.arguments:
                 if arg.label.base == VERB_BASE:
                     continue
-                stats.total_arguments += 1
                 if arg.label.is_continuation:
-                    stats.continuation_count += 1
+                    continuations += 1
                 if arg.label.is_reference:
-                    stats.reference_count += 1
-                label = str(arg.label)
-                stats.per_label[label] = stats.per_label.get(label, 0) + 1
-    if stats.total_arguments == 0:
+                    references += 1
+                per_label[str(arg.label)] += 1
+    if not per_label:
         raise EmptyCorpus("corpus has no scorable arguments")
-    return stats
+    return CorpusStats(len(corpus.sentences), predicates, sum(per_label.values()),
+                       continuations, references,
+                       {label: per_label[label]
+                        for label in sorted(per_label, key=label_sort_key)})
 
 
 # ---------------------------------------------------------------------------
@@ -247,5 +248,6 @@ def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:
     return ScoreReport(metric=metric, mode=gold.mode,
                        predicate_counts=predicate_counts,
                        argument_counts=EvalCounts(*total),
-                       per_label={label: EvalCounts(*row) for label, row in labels.items()},
+                       per_label={label: EvalCounts(*labels[label])
+                                  for label in sorted(labels, key=label_sort_key)},
                        per_sentence=per_sentence)

@@ -1,6 +1,7 @@
 import pytest
 
-from primesrl import EvalCounts, RoleLabel, SenseLabel
+from conftest import load_head, load_span
+from primesrl import EvalCounts, RoleLabel, SenseLabel, merge_continuations
 from primesrl.model import (
     LabelError,
     MergedArgument,
@@ -121,7 +122,12 @@ class TestStructures:
             PredicateInstance(anchor=1, sense=None, arguments=(arg, arg))
 
     def test_merged_argument_never_carries_continuation(self):
-        with pytest.raises(ValueError):
-            MergedArgument(base_label=RoleLabel("A0", is_continuation=True), tokens=(1,))
+        # merge_continuations, the only builder, strips C- and keeps tokens whole
+        for case in ("gold", "p1", "p2", "p3", "p4", "p5", "p6", "p7"):
+            for corpus in (load_head("tax_" + case), load_span("tax", "tax_" + case)):
+                for unit in (u for sentence in corpus.sentences
+                             for pred in sentence.predicates for u in merge_continuations(pred)):
+                    assert not unit.base_label.is_continuation
+                    assert unit.tokens and list(unit.tokens) == sorted(set(unit.tokens))
         unit = MergedArgument(base_label=RoleLabel("A0", False, True), tokens=(1, 2))
         assert unit.is_reference

@@ -1,6 +1,10 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_head
+from corpusgen import perturb_corpus, random_corpus
 from primesrl import RoleLabel, classify, merge_continuations
 from primesrl.model import PredicateInstance, RawArgument
 
@@ -62,6 +66,42 @@ class TestMergeContinuations:
         b = pred_from([(3, "C-A0"), (12, "A0")])
         keyed = lambda p: {(str(u.base_label), u.tokens) for u in merge_continuations(p)}
         assert keyed(a) == keyed(b)
+
+
+@st.composite
+def generated_predicates(draw):
+    """Predicates of a corpusgen corpus and its perturbation, with the C- prefixes
+    of every multi-part argument redistributed over its parts."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    gold = random_corpus(rng, n_sentences=3, mode=draw(st.sampled_from(("head", "span"))))
+    preds = []
+    for corpus in (gold, perturb_corpus(rng, gold)):
+        for pred in (p for sentence in corpus.sentences for p in sentence.predicates):
+            groups: dict[tuple[str, bool], list[RawArgument]] = {}
+            for arg in pred.arguments:
+                groups.setdefault((arg.label.base, arg.label.is_reference), []).append(arg)
+            args = []
+            for (base, is_ref), parts in groups.items():
+                if len(parts) > 1 and any(p.label.is_continuation for p in parts):
+                    marks = draw(st.lists(st.booleans(), min_size=len(parts), max_size=len(parts))
+                                 .filter(any))
+                    parts = [RawArgument(RoleLabel(base, mark, is_ref), p.extent)
+                             for p, mark in zip(parts, marks)]
+                args.extend(parts)
+            preds.append(PredicateInstance(pred.anchor, pred.sense, tuple(args)))
+    return preds
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(generated_predicates())
+def test_units_are_whole_arguments_over_the_raw_tokens(preds):
+    for pred in preds:
+        units = merge_continuations(pred)
+        for unit in units:
+            assert not unit.base_label.is_continuation
+            assert unit.tokens and list(unit.tokens) == sorted(set(unit.tokens))
+        assert ({t for unit in units for t in unit.tokens}
+                == {t for arg in pred.arguments for t in arg.extent})
 
 
 class TestClassify:
