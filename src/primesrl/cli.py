@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -12,12 +13,13 @@ from .conll import (
     AlignmentError,
     Corpus,
     ParseError,
-    parse_conll05,
-    parse_conll09,
+    _lockstep,
+    iter_conll05,
+    iter_conll09,
     parse_sense_sidecar,
 )
 from .model import EvalCounts, ScoreReport
-from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, evaluate
+from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, score_pairs
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,28 +54,57 @@ def _read(path: str) -> str:
                          line=len((before + "_").splitlines()), path=path)
 
 
-def load_corpus(path: str, fmt: str, words: str | None,
-                senses: str | None) -> Corpus:
+def _words(fmt: str, words: str | None) -> str | None:
+    """The text of the conll05 token file, which both sides share; None for conll09."""
     if fmt == "conll09":
-        return parse_conll09(_read(path), path=path)
+        return None
     if words is None:
         raise ConfigError("--format conll05 requires --words TOKEN_FILE")
+    return _read(words)
+
+
+def _stream(path: str, fmt: str, words: str | None, senses: str | None):
+    """The text of one input file and an iterator that parses its sentences as
+    they are drawn; ``words`` is what ``_words`` returned."""
+    if fmt == "conll09":
+        text = _read(path)
+        return text, iter_conll09(text, path=path)
     sidecar = None
     if senses is not None:
         sidecar = parse_sense_sidecar(_read(senses), path=senses)
-    return parse_conll05(_read(words), _read(path), senses=sidecar, path=path)
+    text = _read(path)
+    return text, iter_conll05(words, text, senses=sidecar, path=path)
 
 
-def _load_pair(args) -> tuple[Corpus, Corpus]:
-    gold = load_corpus(args.gold, args.format, args.words, args.senses)
-    if not gold.sentences:
+def _mode(fmt: str) -> str:
+    return "head" if fmt == "conll09" else "span"
+
+
+def load_corpus(path: str, fmt: str, words: str | None,
+                senses: str | None) -> Corpus:
+    _, sentences = _stream(path, fmt, _words(fmt, words), senses)
+    return Corpus(list(sentences), mode=_mode(fmt))
+
+
+def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
+    """Parse, align and score gold against system in one pass, one report per metric.
+
+    The gold file must yield a sentence before the system file is read; the
+    pass then draws gold and system sentences in lockstep.
+    """
+    words = _words(args.format, args.words)
+    gold_text, gold = _stream(args.gold, args.format, words, args.senses)
+    first = next(gold, None)
+    if first is None:
         raise ConfigError("%s: no sentences" % args.gold)
-    return gold, load_corpus(args.system, args.format, args.words, args.senses_system)
+    system_text, system = _stream(args.system, args.format, words, args.senses_system)
+    pairs = _lockstep(gold_text, itertools.chain([first], gold), system_text, system)
+    return score_pairs(pairs, metrics, _mode(args.format))
 
 
-def _metric_name(metric: str, mode: str) -> str:
+def _metric_name(metric: str, fmt: str) -> str:
     if metric == "legacy":
-        return "legacy_head" if mode == "head" else "legacy_span"
+        return "legacy_head" if fmt == "conll09" else "legacy_span"
     return metric
 
 
@@ -111,9 +142,8 @@ def _report_json(report: ScoreReport, flags: dict) -> dict:
 
 
 def cmd_evaluate(args) -> int:
-    gold, system = _load_pair(args)
-    metric = _metric_name(args.metric, gold.mode)
-    report = evaluate(gold, system, metric)
+    metric = _metric_name(args.metric, args.format)
+    [report] = _score(args, (metric,))
     print(_bold("Metric: %s  Mode: %s" % (metric, report.mode)))
     print("Predicate F1: %.4f  (%s)" % (report.predicate_counts.f1,
                                         _counts_line(report.predicate_counts)))
@@ -135,9 +165,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    gold, system = _load_pair(args)
-    legacy = evaluate(gold, system, _metric_name("legacy", gold.mode))
-    strict = evaluate(gold, system, "primesrl")
+    legacy, strict = _score(args, (_metric_name("legacy", args.format), "primesrl"))
     print(_bold("%-12s %10s %8s %8s %8s" % ("metric", "pred F1", "arg P", "arg R", "arg F1")))
     for report in (legacy, strict):
         print("%-12s %10.4f %8.4f %8.4f %8.4f"

@@ -7,6 +7,7 @@ column per target verb, plus a separate one-token-per-line words file).
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -99,21 +100,48 @@ class Corpus:
     mode: str  # "head" | "span"
 
 
+_CHUNK = 1 << 16  # characters split into lines at a time
+
+
+def _chunks(text: str):
+    """Yield ``text`` in pieces of about ``_CHUNK`` characters, each ending just
+    after a newline, so that splitting each piece into lines gives the lines
+    of the whole text without holding them all at once."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _rows(text: str):
+    """Yield (line_number, stripped_line) for every line that is not a comment.
+
+    Lines and their numbers are those of ``text.splitlines()``. A blank line
+    yields an empty string, which ends a sentence block.
+    """
+    lines = itertools.chain.from_iterable(map(str.splitlines, _chunks(text)))
+    for row in enumerate(map(str.strip, lines), start=1):
+        if not row[1].startswith("#"):
+            yield row
+
+
 def _blocks(text: str):
-    """Yield (first_line_number, [(line_number, stripped_line), ...]) per sentence."""
+    """Yield [(line_number, stripped_line), ...] per sentence."""
     block: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            if block:
-                yield block
-                block = []
-            continue
-        if line.startswith("#"):
-            continue
-        block.append((lineno, line))
+    for row in _rows(text):
+        if row[1]:
+            block.append(row)
+        elif block:
+            yield block
+            block = []
     if block:
         yield block
+
+
+def _count(blocks) -> int:
+    """The number of blocks left in an iterator, drawn without parsing them."""
+    return sum(1 for _ in blocks)
 
 
 def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
@@ -128,13 +156,13 @@ def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
     return label
 
 
-def parse_conll09(text: str, path: str | None = None) -> Corpus:
+def iter_conll09(text: str, path: str | None = None):
+    """Yield the sentences of a CoNLL-2009 text, each parsed as it is drawn."""
     # Parsed records are frozen, so each distinct cell is parsed, checked and
     # built once per call and the result is shared by every row that repeats it.
     labels: dict[str, RoleLabel] = {}
     heads: dict[tuple[str, int], RawArgument] = {}
     senses: dict[str, SenseLabel] = {}
-    sentences = []
     for block in _blocks(text):
         rows = []
         for lineno, line in block:
@@ -193,8 +221,11 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
                         MalformedSenseWarning)
             predicates.append(PredicateInstance(anchor=i + 1, sense=sense,
                                                 arguments=tuple(args)))
-        sentences.append(Sentence(tokens=tokens, predicates=predicates))
-    return Corpus(sentences=sentences, mode="head")
+        yield Sentence(tokens=tokens, predicates=predicates)
+
+
+def parse_conll09(text: str, path: str | None = None) -> Corpus:
+    return Corpus(sentences=list(iter_conll09(text, path)), mode="head")
 
 
 _PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
@@ -204,7 +235,9 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
     senses: dict[tuple[int, int], SenseLabel] = {}
     labels: dict[str, SenseLabel] = {}
-    for lineno, line in (row for block in _blocks(text) for row in block):
+    for lineno, line in _rows(text):
+        if not line:
+            continue
         parts = line.split()
         if len(parts) != 3:
             raise ParseError("expected 3 fields (sentence, token, lemma.sense)",
@@ -223,22 +256,27 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     return senses
 
 
-def parse_conll05(words: str, props: str,
-                  senses: dict[tuple[int, int], SenseLabel] | None = None,
-                  path: str | None = None) -> Corpus:
-    word_blocks = [[line for _, line in block] for block in _blocks(words)]
-    prop_blocks = list(_blocks(props))
-    if len(word_blocks) != len(prop_blocks):
-        raise ParseError("words file has %d sentences, props file has %d"
-                         % (len(word_blocks), len(prop_blocks)), path=path)
+def iter_conll05(words: str, props: str,
+                 senses: dict[tuple[int, int], SenseLabel] | None = None,
+                 path: str | None = None):
+    """Yield the sentences of a CoNLL-2005 words/props text pair, each parsed as it is drawn.
 
-    # per call, as in parse_conll09: props cell -> its (opened, closed) groups,
+    When one text runs out of sentences before the other, the ParseError
+    counts the other's remaining blocks without parsing them.
+    """
+    word_blocks = ([line for _, line in block] for block in _blocks(words))
+    prop_blocks = _blocks(props)
+    # per call, as in iter_conll09: props cell -> its (opened, closed) groups,
     # and (opened label text, first row, last row) -> one span part
     labels: dict[str, RoleLabel] = {}
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
-    sentences = []
-    for sent_no, (forms, block) in enumerate(zip(word_blocks, prop_blocks), start=1):
+    sent_no = 0
+    for sent_no, block in enumerate(prop_blocks, start=1):
+        forms = next(word_blocks, None)
+        if forms is None:
+            raise ParseError("words file has %d sentences, props file has %d"
+                             % (sent_no - 1, sent_no + _count(prop_blocks)), path=path)
         rows = []
         for lineno, line in block:
             rows.append((lineno, line.split()))
@@ -302,8 +340,17 @@ def parse_conll05(words: str, props: str,
 
         tokens = [Token(index=i + 1, form=form) for i, form in enumerate(forms)]
         predicates.sort(key=lambda p: p.anchor)
-        sentences.append(Sentence(tokens=tokens, predicates=predicates))
-    return Corpus(sentences=sentences, mode="span")
+        yield Sentence(tokens=tokens, predicates=predicates)
+    rest = _count(word_blocks)
+    if rest:
+        raise ParseError("words file has %d sentences, props file has %d"
+                         % (sent_no + rest, sent_no), path=path)
+
+
+def parse_conll05(words: str, props: str,
+                  senses: dict[tuple[int, int], SenseLabel] | None = None,
+                  path: str | None = None) -> Corpus:
+    return Corpus(sentences=list(iter_conll05(words, props, senses, path)), mode="span")
 
 
 def serialize_conll09(corpus: Corpus) -> str:
@@ -382,32 +429,62 @@ class AlignedCorpus:
     sentences: list[AlignedSentence]
 
 
+def _count_mismatch(gold: int, system: int) -> SentenceCountMismatch:
+    return SentenceCountMismatch("gold has %d sentences, system has %d" % (gold, system))
+
+
+def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:
+    """Check that sentence ``idx`` has the same tokens on both sides and pair its
+    gold and system predicates by anchor token index."""
+    if len(gs.tokens) != len(ss.tokens):
+        raise TokenMismatch(
+            "sentence %d: gold has %d tokens, system has %d"
+            % (idx, len(gs.tokens), len(ss.tokens)),
+            sentence=idx, token=min(len(gs.tokens), len(ss.tokens)) + 1)
+    for gt, st in zip(gs.tokens, ss.tokens):
+        if gt.form != st.form:
+            raise TokenMismatch(
+                "sentence %d, token %d: form %r != %r"
+                % (idx, gt.index, gt.form, st.form),
+                sentence=idx, token=gt.index)
+    sys_by_anchor = {p.anchor: p for p in ss.predicates}
+    sent = AlignedSentence(index=idx)
+    for gp in gs.predicates:
+        sp = sys_by_anchor.pop(gp.anchor, None)
+        if sp is None:
+            sent.missed.append(gp)
+        else:
+            sent.pairs.append((gp, sp))
+    sent.spurious.extend(sys_by_anchor[a] for a in sorted(sys_by_anchor))
+    return sent
+
+
+def _corpus_pairs(gold: Corpus, system: Corpus):
+    """The (gold, system) sentence pairs of two parsed corpora of equal length."""
+    if len(gold.sentences) != len(system.sentences):
+        raise _count_mismatch(len(gold.sentences), len(system.sentences))
+    return zip(gold.sentences, system.sentences)
+
+
+def _lockstep(gold_text: str, gold, system_text: str, system):
+    """Yield (gold, system) sentence pairs from two sentence iterators, drawing
+    each gold sentence before its system sentence.
+
+    When one side ends first, the SentenceCountMismatch counts the other
+    side's sentences from the blocks of its text, without parsing them.
+    """
+    n = 0
+    for gs in gold:
+        ss = next(system, None)
+        if ss is None:
+            raise _count_mismatch(_count(_blocks(gold_text)), n)
+        n += 1
+        yield gs, ss
+    if next(system, None) is not None:
+        raise _count_mismatch(n, _count(_blocks(system_text)))
+
+
 def align(gold: Corpus, system: Corpus) -> AlignedCorpus:
     """Pair gold and system predicates by anchor token index."""
-    if len(gold.sentences) != len(system.sentences):
-        raise SentenceCountMismatch("gold has %d sentences, system has %d"
-                                    % (len(gold.sentences), len(system.sentences)))
-    aligned = []
-    for idx, (gs, ss) in enumerate(zip(gold.sentences, system.sentences), start=1):
-        if len(gs.tokens) != len(ss.tokens):
-            raise TokenMismatch(
-                "sentence %d: gold has %d tokens, system has %d"
-                % (idx, len(gs.tokens), len(ss.tokens)),
-                sentence=idx, token=min(len(gs.tokens), len(ss.tokens)) + 1)
-        for gt, st in zip(gs.tokens, ss.tokens):
-            if gt.form != st.form:
-                raise TokenMismatch(
-                    "sentence %d, token %d: form %r != %r"
-                    % (idx, gt.index, gt.form, st.form),
-                    sentence=idx, token=gt.index)
-        sys_by_anchor = {p.anchor: p for p in ss.predicates}
-        sent = AlignedSentence(index=idx)
-        for gp in gs.predicates:
-            sp = sys_by_anchor.pop(gp.anchor, None)
-            if sp is None:
-                sent.missed.append(gp)
-            else:
-                sent.pairs.append((gp, sp))
-        sent.spurious.extend(sys_by_anchor[a] for a in sorted(sys_by_anchor))
-        aligned.append(sent)
-    return AlignedCorpus(sentences=aligned)
+    return AlignedCorpus(sentences=[_align_sentence(idx, gs, ss) for idx, (gs, ss)
+                                    in enumerate(_corpus_pairs(gold, system), start=1)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .conll import AlignedCorpus, AlignedSentence, Corpus, align
+from .conll import AlignedCorpus, AlignedSentence, Corpus, _align_sentence, _corpus_pairs
 from .model import (
     EvalCounts,
     PredicateInstance,
@@ -34,38 +34,59 @@ class EmptyCorpus(ValueError):
     """Statistics requested for a corpus without any arguments."""
 
 
+CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] tally
+
+
 # ---------------------------------------------------------------------------
 # predicate scorers
 
+def _tally_predicates(sent: AlignedSentence, correct_fn, tally: list[int]) -> None:
+    """Add one aligned sentence's predicates to a [correct, predicted, gold] tally.
+
+    `correct_fn` None credits every pair; otherwise it judges the pairs in
+    which both predicates have a sense.
+    """
+    tally[PREDICTED] += len(sent.pairs) + len(sent.spurious)
+    tally[GOLD] += len(sent.pairs) + len(sent.missed)
+    if correct_fn is None:
+        tally[CORRECT] += len(sent.pairs)
+        return
+    for gp, sp in sent.pairs:
+        if gp.sense is not None and sp.sense is not None and correct_fn(gp, sp):
+            tally[CORRECT] += 1
+
+
 def _score_predicates(aligned: AlignedCorpus, correct_fn) -> EvalCounts:
     """Count aligned predicates; `correct_fn` None credits every pair."""
-    correct = predicted = gold = 0
+    tally = [0, 0, 0]
     for sent in aligned.sentences:
-        predicted += len(sent.pairs) + len(sent.spurious)
-        gold += len(sent.pairs) + len(sent.missed)
-        if correct_fn is None:
-            correct += len(sent.pairs)
-            continue
-        # every gold predicate, matched or missed; both lists are in anchor order
-        unsensed = [gp.anchor for gp, _ in sent.pairs if gp.sense is None]
-        unsensed += [gp.anchor for gp in sent.missed if gp.sense is None]
-        if unsensed:
-            raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
-                                   % (sent.index, min(unsensed)))
-        for gp, sp in sent.pairs:
-            if sp.sense is not None and correct_fn(gp, sp):
-                correct += 1
-    return EvalCounts(correct, predicted, gold)
+        if correct_fn is not None:
+            # every gold predicate, matched or missed; both lists are in anchor order
+            unsensed = [gp.anchor for gp, _ in sent.pairs if gp.sense is None]
+            unsensed += [gp.anchor for gp in sent.missed if gp.sense is None]
+            if unsensed:
+                raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
+                                       % (sent.index, min(unsensed)))
+        _tally_predicates(sent, correct_fn, tally)
+    return EvalCounts(*tally)
+
+
+def _lemma_and_sense(gp: PredicateInstance, sp: PredicateInstance) -> bool:
+    return gp.sense == sp.sense
+
+
+def _sense_number(gp: PredicateInstance, sp: PredicateInstance) -> bool:
+    return gp.sense.sense_id == sp.sense.sense_id
 
 
 def score_predicates_primesrl(aligned: AlignedCorpus) -> EvalCounts:
     """A predicate is correct only when lemma and sense number both match."""
-    return _score_predicates(aligned, lambda gp, sp: gp.sense == sp.sense)
+    return _score_predicates(aligned, _lemma_and_sense)
 
 
 def score_predicates_legacy09(aligned: AlignedCorpus) -> EvalCounts:
     """Sense-number-only credit: buy.01 vs sell.01 counts as correct."""
-    return _score_predicates(aligned, lambda gp, sp: gp.sense.sense_id == sp.sense.sense_id)
+    return _score_predicates(aligned, _sense_number)
 
 
 def score_predicates_trivial(aligned: AlignedCorpus) -> EvalCounts:
@@ -124,13 +145,12 @@ def _strict_credit(matched: list[tuple], gp: PredicateInstance,
             if not item[1].is_reference or item[1].base_label.base in referents]
 
 
-CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] tally
-
-# metric -> (unit builder, credit filter over the matched system units)
+# metric -> (unit builder, credit filter over the matched system units,
+#            predicate credit when gold has senses; None credits every pair)
 METRICS = {
-    "primesrl": (_strict_units, _strict_credit),
-    "legacy_head": (_head_units, None),
-    "legacy_span": (_span_units, None),
+    "primesrl": (_strict_units, _strict_credit, _lemma_and_sense),
+    "legacy_head": (_head_units, None, _sense_number),
+    "legacy_span": (_span_units, None, None),
 }
 
 
@@ -214,40 +234,54 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # ---------------------------------------------------------------------------
 # dispatch
 
+def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]:
+    """Align and score (gold, system) sentence pairs in one pass; one report per metric.
+
+    Pairs are drawn, aligned and scored one at a time, so an error raised
+    while drawing or aligning sentence k stops the pass there. Whether the
+    gold side has senses is a whole-corpus question, so MissingGoldSense is
+    raised at the end.
+    """
+    trivial = [0, 0, 0]  # the predicate tally with every pair credited
+    sensed = False  # whether some gold predicate has a sense
+    unsensed = None  # (sentence, anchor) of the first gold predicate without one
+    # per metric: (unit builder, credit filter, predicate credit, predicate tally,
+    #              argument tally, label -> tally, per-sentence records)
+    runs = [(*METRICS[metric], [0, 0, 0], [0, 0, 0], {}, []) for metric in metrics]
+    for idx, (gs, ss) in enumerate(pairs, start=1):
+        sent = _align_sentence(idx, gs, ss)
+        _tally_predicates(sent, None, trivial)
+        if unsensed is None or not sensed:
+            anchors = [gp.anchor for gp in gs.predicates if gp.sense is None]
+            sensed = sensed or len(anchors) < len(gs.predicates)
+            if anchors and unsensed is None:
+                unsensed = (idx, min(anchors))
+        for units, credit, correct_fn, predicates, total, labels, per_sentence in runs:
+            if correct_fn is not None:
+                _tally_predicates(sent, correct_fn, predicates)
+            counts = _score_sentence(sent, units, credit, labels)
+            for i in range(3):
+                total[i] += counts[i]
+            per_sentence.append(EvalCounts(*counts))
+
+    if sensed and unsensed is not None and any(run[2] is not None for run in runs):
+        raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
+                               % unsensed)
+    reports = []
+    for metric, (_, _, correct_fn, predicates, total, labels, per_sentence) in zip(metrics, runs):
+        if not sensed or correct_fn is None:
+            predicates = trivial
+        reports.append(ScoreReport(metric=metric, mode=mode,
+                                   predicate_counts=EvalCounts(*predicates),
+                                   argument_counts=EvalCounts(*total),
+                                   per_label={label: EvalCounts(*labels[label])
+                                              for label in sorted(labels, key=label_sort_key)},
+                                   per_sentence=per_sentence))
+    return reports
+
+
 def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:
     """Score a gold/system pair with one metric; the report takes the gold corpus's mode."""
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % metric)
-    aligned = align(gold, system)
-
-    gold_has_senses = any(gp.sense is not None
-                          for sentence in gold.sentences for gp in sentence.predicates)
-    if metric == "legacy_span" or not gold_has_senses:
-        predicate_counts = score_predicates_trivial(aligned)
-    elif metric == "primesrl":
-        predicate_counts = score_predicates_primesrl(aligned)
-    else:
-        predicate_counts = score_predicates_legacy09(aligned)
-
-    units, credit = METRICS[metric]
-    labels: dict[str, list[int]] = {}
-    per_sentence = []
-    # equal tallies share one frozen record: a new record per sentence keeps enough
-    # objects alive to cost a span `compare` one more full garbage-collector pass
-    shared: dict[tuple[int, ...], EvalCounts] = {}
-    total = [0, 0, 0]
-    for sent in aligned.sentences:
-        counts = tuple(_score_sentence(sent, units, credit, labels))
-        for i in range(3):
-            total[i] += counts[i]
-        record = shared.get(counts)
-        if record is None:
-            record = shared[counts] = EvalCounts(*counts)
-        per_sentence.append(record)
-
-    return ScoreReport(metric=metric, mode=gold.mode,
-                       predicate_counts=predicate_counts,
-                       argument_counts=EvalCounts(*total),
-                       per_label={label: EvalCounts(*labels[label])
-                                  for label in sorted(labels, key=label_sort_key)},
-                       per_sentence=per_sentence)
+    return score_pairs(_corpus_pairs(gold, system), (metric,), gold.mode)[0]

@@ -1,0 +1,184 @@
+"""The CLI's one streaming pass: the same scores as the library, and which error wins.
+
+``evaluate`` and ``compare`` parse, align and score the gold and system files
+one sentence at a time. Their reports must equal library ``evaluate`` on the
+fully parsed corpora, and on a file with several problems the first one met
+in file order (gold parse, then system parse, then alignment) decides the
+exit code.
+"""
+
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import DATA, counts
+from corpusgen import perturb_corpus, random_corpus
+from primesrl import (
+    cli,
+    evaluate,
+    parse_conll05,
+    parse_conll09,
+    parse_sense_sidecar,
+    serialize_conll05,
+    serialize_conll09,
+)
+from primesrl import conll
+from primesrl.conll import ParseError
+from primesrl.scoring import score_pairs
+
+
+def _sidecar(corpus) -> str:
+    return "".join("%d\t%d\t%s\n" % (i, p.anchor, p.sense)
+                   for i, sentence in enumerate(corpus.sentences, start=1)
+                   for p in sentence.predicates if p.sense is not None)
+
+
+def _write(tmp: Path, gold, system) -> tuple[list[str], object, object]:
+    """Write both corpora; return the CLI's input arguments and the parsed corpora."""
+    if gold.mode == "head":
+        files = {"gold.conll": serialize_conll09(gold), "sys.conll": serialize_conll09(system)}
+        for name, text in files.items():
+            (tmp / name).write_text(text)
+        return ([str(tmp / "gold.conll"), str(tmp / "sys.conll")],
+                parse_conll09(files["gold.conll"]), parse_conll09(files["sys.conll"]))
+    words, gold_props = serialize_conll05(gold)
+    _, sys_props = serialize_conll05(system)
+    files = {"words": words, "gold.props": gold_props, "sys.props": sys_props,
+             "gold.senses": _sidecar(gold), "sys.senses": _sidecar(system)}
+    for name, text in files.items():
+        (tmp / name).write_text(text)
+    return (["--format", "conll05", "--words", str(tmp / "words"),
+             "--senses", str(tmp / "gold.senses"), "--senses-system", str(tmp / "sys.senses"),
+             str(tmp / "gold.props"), str(tmp / "sys.props")],
+            parse_conll05(words, gold_props, parse_sense_sidecar(files["gold.senses"])),
+            parse_conll05(words, sys_props, parse_sense_sidecar(files["sys.senses"])))
+
+
+def _streamed_reports(argv: list[str]) -> list:
+    """Run the CLI; return the reports its scoring pass produced."""
+    reports = []
+
+    def record(pairs, metrics, mode):
+        reports.extend(score_pairs(pairs, metrics, mode))
+        return reports
+
+    with mock.patch.object(cli, "score_pairs", side_effect=record), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_OK
+    return reports
+
+
+def _same(streamed, library) -> None:
+    assert streamed.metric == library.metric and streamed.mode == library.mode
+    assert counts(streamed.predicate_counts) == counts(library.predicate_counts)
+    assert counts(streamed.argument_counts) == counts(library.argument_counts)
+    assert streamed.per_label == library.per_label
+    assert streamed.per_sentence == library.per_sentence
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+       with_sense=st.booleans())
+def test_streamed_scores_equal_the_library(seed, mode, with_sense):
+    rng = random.Random(seed)
+    gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
+                         max_args=5, with_sense=with_sense)
+    system = perturb_corpus(rng, gold)
+    with tempfile.TemporaryDirectory() as tmp:
+        io_args, gold_parsed, system_parsed = _write(Path(tmp), gold, system)
+        legacy = "legacy_head" if mode == "head" else "legacy_span"
+        library = {metric: evaluate(gold_parsed, system_parsed, metric)
+                   for metric in ("primesrl", legacy)}
+        for metric in ("primesrl", "legacy"):
+            [report] = _streamed_reports(["evaluate", "--metric", metric, *io_args])
+            _same(report, library[report.metric])
+        streamed = _streamed_reports(["compare", *io_args])
+        assert [r.metric for r in streamed] == [legacy, "primesrl"]
+        for report in streamed:
+            _same(report, library[report.metric])
+
+
+# ---------------------------------------------------------------------------
+# doubly-broken inputs: the first problem met in file order wins
+
+SENTENCE = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
+
+
+def _sentences(n: int, **edits: str) -> str:
+    """``n`` copies of the buy_gold sentence; ``s<k>`` replaces sentence k."""
+    return "".join(edits.get("s%d" % k, SENTENCE) for k in range(1, n + 1))
+
+
+RENAMED = SENTENCE.replace("John", "Mary")  # same rows, one other token form
+MALFORMED = SENTENCE.replace("\tA0\n", "\n")  # a row loses its argument column
+
+
+def _run(tmp_path, gold: str, system: str, capsys) -> tuple[int, str, str]:
+    paths = tmp_path / "gold.conll", tmp_path / "system.conll"
+    for path, text in zip(paths, (gold, system)):
+        path.write_text(text)
+    code = cli.main(["evaluate", *map(str, paths)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_alignment_error_before_a_later_system_parse_error(tmp_path, capsys):
+    code, out, err = _run(tmp_path, _sentences(3), _sentences(3, s1=RENAMED, s3=MALFORMED),
+                          capsys)
+    assert code == cli.EXIT_ALIGN and out == ""
+    assert "alignment error: sentence 1, token 3: form 'John' != 'Mary'" in err
+
+
+def test_gold_parse_error_before_a_later_alignment_error(tmp_path, capsys):
+    code, out, err = _run(tmp_path, _sentences(3, s1=MALFORMED), _sentences(3, s2=RENAMED),
+                          capsys)
+    assert code == cli.EXIT_PARSE and out == ""
+    assert "parse error: %s:line 3: " % (tmp_path / "gold.conll") in err
+
+
+@pytest.mark.parametrize("gold_n, system_n", [(2, 4), (4, 2)])
+def test_sentence_count_mismatch_counts_the_longer_file_unparsed(gold_n, system_n, tmp_path,
+                                                                 capsys):
+    # the longer file's last sentence is malformed; it is counted, not parsed
+    last = "s%d" % max(gold_n, system_n)
+    gold = _sentences(gold_n, **({last: MALFORMED} if gold_n > system_n else {}))
+    system = _sentences(system_n, **({last: MALFORMED} if system_n > gold_n else {}))
+    code, out, err = _run(tmp_path, gold, system, capsys)
+    assert code == cli.EXIT_ALIGN and out == ""
+    assert err == "alignment error: gold has %d sentences, system has %d\n" % (gold_n, system_n)
+
+
+def test_empty_gold_before_a_malformed_system(tmp_path, capsys):
+    code, out, err = _run(tmp_path, "# no sentences\n", MALFORMED, capsys)
+    assert code == cli.EXIT_CONFIG and out == ""
+    assert err == "error: %s: no sentences\n" % (tmp_path / "gold.conll")
+
+
+@pytest.mark.parametrize("words_n, props_n", [(2, 4), (4, 2)])
+def test_words_props_count_mismatch_counts_without_parsing(words_n, props_n):
+    # sentences without predicates; a longer props file ends in an unclosed span
+    words = "a\nb\n\n" * words_n
+    props = "-\n-\n\n" * props_n
+    if props_n > words_n:
+        props += "-\t(A0*\n-\t*\n"
+        props_n += 1
+    with pytest.raises(ParseError) as err:
+        parse_conll05(words, props)
+    assert err.value.message == ("words file has %d sentences, props file has %d"
+                                 % (words_n, props_n))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(text=st.text(alphabet="a #\t\n\r\x0b\x1c\x85\u2028", max_size=40),
+       chunk=st.integers(1, 8))
+def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk):
+    expected = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)
+                if not line.strip().startswith("#")]
+    with mock.patch.object(conll, "_CHUNK", chunk):
+        assert list(conll._rows(text)) == expected
