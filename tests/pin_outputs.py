@@ -11,7 +11,14 @@ The sweep:
     every ordered pair within each family: conll09, conll05, and conll05
     with ``--senses``/``--senses-system`` sidecars written from the matching
     conll09 PRED cells;
-  * ``stats`` on every file in both formats.
+  * ``stats`` on every file in both formats;
+  * commands that end in an error or a warning, on inputs built from the
+    buy_gold sentence (``ERROR_INPUTS``): unequal sentence counts whose first
+    extra sentence is malformed, in both directions; a gold parse error before
+    an alignment error and an alignment error before a system parse error;
+    an empty gold file; a malformed gold sentence 1 with a system file that
+    is not UTF-8; ``--format conll05`` without ``--words``; and PRED cells
+    that are not ``lemma.sense`` in both files.
 
 Run ``PYTHONPATH=src python tests/pin_outputs.py`` to rewrite
 tests/data/outputs.json; ``tests/test_outputs.py`` recomputes and compares.
@@ -48,6 +55,40 @@ def _sidecar(conll09: str) -> str:
     return "".join(rows)
 
 
+SENTENCE = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
+RENAMED = SENTENCE.replace("John", "Mary")  # same rows, one other token form
+MALFORMED = SENTENCE.replace("\tA0\n", "\n")  # a row loses its argument column
+
+
+def _sentences(*sentences: str) -> bytes:
+    return "".join(sentences).encode()
+
+
+# file name -> bytes, written next to the fixtures for the error commands
+ERROR_INPUTS = {
+    "two.conll": _sentences(SENTENCE, SENTENCE),
+    "three.conll": _sentences(SENTENCE, SENTENCE, SENTENCE),
+    "three_bad3.conll": _sentences(SENTENCE, SENTENCE, MALFORMED),
+    "three_bad1.conll": _sentences(MALFORMED, SENTENCE, SENTENCE),
+    "three_renamed2.conll": _sentences(SENTENCE, RENAMED, SENTENCE),
+    "three_renamed1_bad3.conll": _sentences(RENAMED, SENTENCE, MALFORMED),
+    "empty.conll": b"# no sentences\n",
+    "latin1.conll": SENTENCE.replace("car", "caf\xe9").encode("latin-1"),
+    "unsensed.conll": _sentences(SENTENCE, SENTENCE).replace(b"buy.01", b"buy"),
+}
+ERROR_COMMANDS = [
+    ["evaluate", "three_bad3.conll", "two.conll"],
+    ["evaluate", "two.conll", "three_bad3.conll"],
+    ["compare", "three_bad3.conll", "two.conll"],
+    ["evaluate", "three_bad1.conll", "three_renamed2.conll"],
+    ["evaluate", "three.conll", "three_renamed1_bad3.conll"],
+    ["evaluate", "empty.conll", "three_bad3.conll"],
+    ["evaluate", "three_bad1.conll", "latin1.conll"],
+    ["evaluate", "--format", "conll05", "tax_gold.props", "tax_p1.props"],
+    ["evaluate", "unsensed.conll", "unsensed.conll"],
+]
+
+
 def _files(fmt: str) -> list[str]:
     return sorted(p.name for p in DATA.glob("*_*" + {"conll09": ".conll", "conll05": ".props"}[fmt]))
 
@@ -80,7 +121,7 @@ def commands() -> list[list[str]]:
             if fmt == "conll05":
                 io_args += ["--words", name.split("_")[0] + ".words"]
             runs.append(["stats", *io_args, name])
-    return runs
+    return runs + ERROR_COMMANDS
 
 
 def _digest(argv: list[str]) -> str:
@@ -109,6 +150,8 @@ def sweep() -> dict[str, str]:
                 shutil.copy(path, tmp)
         for path in DATA.glob("*.conll"):
             Path(tmp, path.stem + ".senses").write_text(_sidecar(path.read_text()))
+        for name, data in ERROR_INPUTS.items():
+            Path(tmp, name).write_bytes(data)
         os.chdir(tmp)
         try:
             return {" ".join(argv): _digest(argv) for argv in commands()}
