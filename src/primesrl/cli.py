@@ -13,9 +13,11 @@ from .conll import (
     AlignmentError,
     Corpus,
     ParseError,
-    _lockstep,
-    iter_conll05,
-    iter_conll09,
+    _blocks,
+    _conll05_reader,
+    _conll09_reader,
+    _count_mismatch,
+    _pair_blocks,
     parse_sense_sidecar,
 )
 from .model import EvalCounts, ScoreReport
@@ -54,26 +56,24 @@ def _read(path: str) -> str:
                          line=len((before + "_").splitlines()), path=path)
 
 
-def _words(fmt: str, words: str | None) -> str | None:
-    """The text of the conll05 token file, which both sides share; None for conll09."""
+def _words(fmt: str, words: str | None):
+    """The sentence blocks of the conll05 token file; None for conll09."""
     if fmt == "conll09":
         return None
     if words is None:
         raise ConfigError("--format conll05 requires --words TOKEN_FILE")
-    return _read(words)
+    return _blocks(_read(words))
 
 
-def _stream(path: str, fmt: str, words: str | None, senses: str | None):
-    """The text of one input file and an iterator that parses its sentences as
-    they are drawn; ``words`` is what ``_words`` returned."""
+def _stream(path: str, fmt: str, words, senses: str | None):
+    """The unparsed sentence blocks of one input file and the function that
+    parses each of them in turn; ``words`` is what ``_words`` returned."""
     if fmt == "conll09":
-        text = _read(path)
-        return text, iter_conll09(text, path=path)
+        return _conll09_reader(_read(path), path)
     sidecar = None
     if senses is not None:
         sidecar = parse_sense_sidecar(_read(senses), path=senses)
-    text = _read(path)
-    return text, iter_conll05(words, text, senses=sidecar, path=path)
+    return _conll05_reader(words, _read(path), sidecar, path)
 
 
 def _mode(fmt: str) -> str:
@@ -82,24 +82,26 @@ def _mode(fmt: str) -> str:
 
 def load_corpus(path: str, fmt: str, words: str | None,
                 senses: str | None) -> Corpus:
-    _, sentences = _stream(path, fmt, _words(fmt, words), senses)
-    return Corpus(list(sentences), mode=_mode(fmt))
+    blocks, parse = _stream(path, fmt, _words(fmt, words), senses)
+    return Corpus(list(map(parse, blocks)), mode=_mode(fmt))
 
 
 def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
     """Parse, align and score gold against system in one pass, one report per metric.
 
-    The gold file must yield a sentence before the system file is read; the
-    pass then draws gold and system sentences in lockstep.
+    The gold file must have a sentence block before the system file is read.
+    Each gold and system block pair is parsed, gold first, once it is paired;
+    both sides share one split of the token file.
     """
-    words = _words(args.format, args.words)
-    gold_text, gold = _stream(args.gold, args.format, words, args.senses)
+    gold_words, system_words = itertools.tee(_words(args.format, args.words) or ())
+    gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses)
     first = next(gold, None)
     if first is None:
         raise ConfigError("%s: no sentences" % args.gold)
-    system_text, system = _stream(args.system, args.format, words, args.senses_system)
-    pairs = _lockstep(gold_text, itertools.chain([first], gold), system_text, system)
-    return score_pairs(pairs, metrics, _mode(args.format))
+    system, parse_system = _stream(args.system, args.format, system_words, args.senses_system)
+    pairs = _pair_blocks(itertools.chain([first], gold), system, _count_mismatch)
+    return score_pairs(((parse_gold(g), parse_system(s)) for g, s in pairs),
+                       metrics, _mode(args.format))
 
 
 def _metric_name(metric: str, fmt: str) -> str:

@@ -139,9 +139,20 @@ def _blocks(text: str):
         yield block
 
 
-def _count(blocks) -> int:
-    """The number of blocks left in an iterator, drawn without parsing them."""
-    return sum(1 for _ in blocks)
+def _pair_blocks(first, second, mismatch):
+    """Yield (first, second) pairs from two iterators of unparsed sentence blocks.
+    When one ends first, raise ``mismatch(n_first, n_second)``; the longer
+    side's remaining blocks are counted, not parsed."""
+    n = 0
+    for block in first:
+        other = next(second, None)
+        if other is None:
+            raise mismatch(n + 1 + sum(1 for _ in first), n)
+        n += 1
+        yield block, other
+    rest = sum(1 for _ in second)
+    if rest:
+        raise mismatch(n, n + rest)
 
 
 def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
@@ -156,14 +167,17 @@ def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
     return label
 
 
-def iter_conll09(text: str, path: str | None = None):
-    """Yield the sentences of a CoNLL-2009 text, each parsed as it is drawn."""
+def _conll09_reader(text: str, path: str | None = None):
+    """The unparsed sentence blocks of a CoNLL-2009 text and the function that
+    parses one of them."""
     # Parsed records are frozen, so each distinct cell is parsed, checked and
-    # built once per call and the result is shared by every row that repeats it.
+    # built once per reader and the result is shared by every row that repeats it.
     labels: dict[str, RoleLabel] = {}
     heads: dict[tuple[str, int], RawArgument] = {}
     senses: dict[str, SenseLabel] = {}
-    for block in _blocks(text):
+    where = "" if path is None else path + ":"
+
+    def parse(block: list[tuple[int, str]]) -> Sentence:
         rows = []
         for lineno, line in block:
             cols = line.split()
@@ -216,16 +230,19 @@ def iter_conll09(text: str, path: str | None = None):
                 except LabelError:
                     # not cached, so every occurrence warns with its own line
                     warnings.warn(
-                        "line %d: predicate sense cell %r is not lemma.sense; "
-                        "recorded as sense-missing" % (lineno, cell),
+                        "%sline %d: predicate sense cell %r is not lemma.sense; "
+                        "recorded as sense-missing" % (where, lineno, cell),
                         MalformedSenseWarning)
             predicates.append(PredicateInstance(anchor=i + 1, sense=sense,
                                                 arguments=tuple(args)))
-        yield Sentence(tokens=tokens, predicates=predicates)
+        return Sentence(tokens=tokens, predicates=predicates)
+
+    return _blocks(text), parse
 
 
 def parse_conll09(text: str, path: str | None = None) -> Corpus:
-    return Corpus(sentences=list(iter_conll09(text, path)), mode="head")
+    blocks, parse = _conll09_reader(text, path)
+    return Corpus(sentences=list(map(parse, blocks)), mode="head")
 
 
 _PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
@@ -256,33 +273,28 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     return senses
 
 
-def iter_conll05(words: str, props: str,
-                 senses: dict[tuple[int, int], SenseLabel] | None = None,
-                 path: str | None = None):
-    """Yield the sentences of a CoNLL-2005 words/props text pair, each parsed as it is drawn.
+def _conll05_reader(word_blocks, props: str,
+                    senses: dict[tuple[int, int], SenseLabel] | None = None,
+                    path: str | None = None):
+    """The unparsed (words block, props block) pairs of a token file's blocks
+    and a CoNLL-2005 props text, and the function whose n-th call parses pair n.
 
-    When one text runs out of sentences before the other, the ParseError
-    counts the other's remaining blocks without parsing them.
+    Unequal sentence counts are a ParseError, raised as the shorter side ends.
     """
-    word_blocks = ([line for _, line in block] for block in _blocks(words))
-    prop_blocks = _blocks(props)
-    # per call, as in iter_conll09: props cell -> its (opened, closed) groups,
-    # and (opened label text, first row, last row) -> one span part
+    # per reader, as in _conll09_reader: props cell -> its (opened, closed)
+    # groups, and (opened label text, first row, last row) -> one span part
     labels: dict[str, RoleLabel] = {}
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
-    sent_no = 0
-    for sent_no, block in enumerate(prop_blocks, start=1):
-        forms = next(word_blocks, None)
-        if forms is None:
-            raise ParseError("words file has %d sentences, props file has %d"
-                             % (sent_no - 1, sent_no + _count(prop_blocks)), path=path)
-        rows = []
-        for lineno, line in block:
-            rows.append((lineno, line.split()))
-        if len(rows) != len(forms):
+    numbers = itertools.count(1)
+
+    def parse(pair: tuple[list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
+        sent_no = next(numbers)
+        words, block = pair
+        rows = [(lineno, line.split()) for lineno, line in block]
+        if len(rows) != len(words):
             raise ParseError("sentence %d: %d props rows for %d words"
-                             % (sent_no, len(rows), len(forms)),
+                             % (sent_no, len(rows), len(words)),
                              line=rows[0][0], path=path)
         width = len(rows[0][1])
         for lineno, cols in rows:
@@ -338,19 +350,21 @@ def iter_conll05(words: str, props: str,
             predicates.append(PredicateInstance(anchor=anchor, sense=sense,
                                                 arguments=tuple(parts)))
 
-        tokens = [Token(index=i + 1, form=form) for i, form in enumerate(forms)]
+        tokens = [Token(index=i + 1, form=form) for i, (_, form) in enumerate(words)]
         predicates.sort(key=lambda p: p.anchor)
-        yield Sentence(tokens=tokens, predicates=predicates)
-    rest = _count(word_blocks)
-    if rest:
-        raise ParseError("words file has %d sentences, props file has %d"
-                         % (sent_no + rest, sent_no), path=path)
+        return Sentence(tokens=tokens, predicates=predicates)
+
+    def mismatch(n_words: int, n_props: int) -> ParseError:
+        return ParseError("words file has %d sentences, props file has %d"
+                          % (n_words, n_props), path=path)
+    return _pair_blocks(word_blocks, _blocks(props), mismatch), parse
 
 
 def parse_conll05(words: str, props: str,
                   senses: dict[tuple[int, int], SenseLabel] | None = None,
                   path: str | None = None) -> Corpus:
-    return Corpus(sentences=list(iter_conll05(words, props, senses, path)), mode="span")
+    blocks, parse = _conll05_reader(_blocks(words), props, senses, path)
+    return Corpus(sentences=list(map(parse, blocks)), mode="span")
 
 
 def serialize_conll09(corpus: Corpus) -> str:
@@ -464,24 +478,6 @@ def _corpus_pairs(gold: Corpus, system: Corpus):
     if len(gold.sentences) != len(system.sentences):
         raise _count_mismatch(len(gold.sentences), len(system.sentences))
     return zip(gold.sentences, system.sentences)
-
-
-def _lockstep(gold_text: str, gold, system_text: str, system):
-    """Yield (gold, system) sentence pairs from two sentence iterators, drawing
-    each gold sentence before its system sentence.
-
-    When one side ends first, the SentenceCountMismatch counts the other
-    side's sentences from the blocks of its text, without parsing them.
-    """
-    n = 0
-    for gs in gold:
-        ss = next(system, None)
-        if ss is None:
-            raise _count_mismatch(_count(_blocks(gold_text)), n)
-        n += 1
-        yield gs, ss
-    if next(system, None) is not None:
-        raise _count_mismatch(n, _count(_blocks(system_text)))
 
 
 def align(gold: Corpus, system: Corpus) -> AlignedCorpus:

@@ -11,14 +11,16 @@ import contextlib
 import io
 import random
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA, counts
+from conftest import counts
 from corpusgen import perturb_corpus, random_corpus
+from pin_outputs import MALFORMED, RENAMED, SENTENCE
 from primesrl import (
     cli,
     evaluate,
@@ -107,16 +109,9 @@ def test_streamed_scores_equal_the_library(seed, mode, with_sense):
 # ---------------------------------------------------------------------------
 # doubly-broken inputs: the first problem met in file order wins
 
-SENTENCE = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
-
-
 def _sentences(n: int, **edits: str) -> str:
     """``n`` copies of the buy_gold sentence; ``s<k>`` replaces sentence k."""
     return "".join(edits.get("s%d" % k, SENTENCE) for k in range(1, n + 1))
-
-
-RENAMED = SENTENCE.replace("John", "Mary")  # same rows, one other token form
-MALFORMED = SENTENCE.replace("\tA0\n", "\n")  # a row loses its argument column
 
 
 def _run(tmp_path, gold: str, system: str, capsys) -> tuple[int, str, str]:
@@ -142,16 +137,32 @@ def test_gold_parse_error_before_a_later_alignment_error(tmp_path, capsys):
     assert "parse error: %s:line 3: " % (tmp_path / "gold.conll") in err
 
 
-@pytest.mark.parametrize("gold_n, system_n", [(2, 4), (4, 2)])
-def test_sentence_count_mismatch_counts_the_longer_file_unparsed(gold_n, system_n, tmp_path,
-                                                                 capsys):
-    # the longer file's last sentence is malformed; it is counted, not parsed
-    last = "s%d" % max(gold_n, system_n)
-    gold = _sentences(gold_n, **({last: MALFORMED} if gold_n > system_n else {}))
-    system = _sentences(system_n, **({last: MALFORMED} if system_n > gold_n else {}))
+@pytest.mark.parametrize("gold_n, system_n, bad", [(2, 4, 4), (4, 2, 4), (2, 4, 3), (4, 2, 3)],
+                         ids=["2-4", "4-2", "2-4-first-extra", "4-2-first-extra"])
+def test_sentence_count_mismatch_counts_the_longer_file_unparsed(gold_n, system_n, bad,
+                                                                 tmp_path, capsys):
+    # the longer file's sentence ``bad`` is malformed, its last or the first
+    # past the shorter file's end; either way it is counted, not parsed
+    edit = {"s%d" % bad: MALFORMED}
+    gold = _sentences(gold_n, **(edit if gold_n > system_n else {}))
+    system = _sentences(system_n, **(edit if system_n > gold_n else {}))
     code, out, err = _run(tmp_path, gold, system, capsys)
     assert code == cli.EXIT_ALIGN and out == ""
     assert err == "alignment error: gold has %d sentences, system has %d\n" % (gold_n, system_n)
+
+
+def test_malformed_senses_warn_with_the_file_and_line(tmp_path, capsys):
+    # the same cell at the same line of both files: the default warning
+    # filter shows each warning once, so only the file name tells them apart
+    unsensed = _sentences(2).replace("buy.01", "buy")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code, _, _ = _run(tmp_path, unsensed, unsensed, capsys)
+    assert code == cli.EXIT_OK
+    gold, system = tmp_path / "gold.conll", tmp_path / "system.conll"
+    assert [str(w.message) for w in caught] == [
+        "%s:line %d: predicate sense cell 'buy' is not lemma.sense; recorded as sense-missing"
+        % (path, line) for line in (4, 12) for path in (gold, system)]
 
 
 def test_empty_gold_before_a_malformed_system(tmp_path, capsys):
