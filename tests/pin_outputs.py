@@ -8,17 +8,21 @@ warnings it raised (recorded, so source paths stay out of the digest).
 
 The sweep:
   * ``evaluate --per-label --json`` with both metrics, and ``compare``, on
-    every ordered pair within each family: conll09, conll05, and conll05
-    with ``--senses``/``--senses-system`` sidecars written from the matching
-    conll09 PRED cells;
+    every ordered pair within each family: conll09, and conll05 without
+    sidecars, with both ``--senses`` and ``--senses-system``, with
+    ``--senses`` only and with ``--senses-system`` only; the sidecars are
+    written from the matching conll09 PRED cells;
   * ``stats`` on every file in both formats;
   * commands that end in an error or a warning, on inputs built from the
     buy_gold sentence (``ERROR_INPUTS``): unequal sentence counts whose first
     extra sentence is malformed, in both directions; a gold parse error before
     an alignment error and an alignment error before a system parse error;
     an empty gold file; a malformed gold sentence 1 with a system file that
-    is not UTF-8; ``--format conll05`` without ``--words``; and PRED cells
-    that are not ``lemma.sense`` in both files.
+    is not UTF-8; ``--format conll05`` without ``--words``; PRED cells
+    that are not ``lemma.sense`` in both files; gold without senses against
+    a wrong-sense system and sensed gold against a system without senses;
+    and sense sidecar rows that name no predicate (one token off, or a
+    sentence past the end), on the gold side and on the system side.
 
 Run ``PYTHONPATH=src python tests/pin_outputs.py`` to rewrite
 tests/data/outputs.json; ``tests/test_outputs.py`` recomputes and compares.
@@ -75,7 +79,13 @@ ERROR_INPUTS = {
     "empty.conll": b"# no sentences\n",
     "latin1.conll": SENTENCE.replace("car", "caf\xe9").encode("latin-1"),
     "unsensed.conll": _sentences(SENTENCE, SENTENCE).replace(b"buy.01", b"buy"),
+    "two_sell.conll": _sentences(SENTENCE, SENTENCE).replace(b"buy.01", b"sell.01"),
+    # the lead predicate is token 7 of the one lead sentence
+    "lead_off.senses": b"1\t6\tlead.01\n",
+    "lead_02.senses": b"1\t7\tlead.02\n",
+    "lead_s9.senses": b"1\t7\tlead.01\n9\t7\tlead.01\n",
 }
+LEAD = ["--format", "conll05", "--words", "lead.words"]
 ERROR_COMMANDS = [
     ["evaluate", "three_bad3.conll", "two.conll"],
     ["evaluate", "two.conll", "three_bad3.conll"],
@@ -86,6 +96,16 @@ ERROR_COMMANDS = [
     ["evaluate", "three_bad1.conll", "latin1.conll"],
     ["evaluate", "--format", "conll05", "tax_gold.props", "tax_p1.props"],
     ["evaluate", "unsensed.conll", "unsensed.conll"],
+    *([*command, gold, system] for gold, system in (("unsensed.conll", "two_sell.conll"),
+                                                    ("two.conll", "unsensed.conll"))
+      for command in (["evaluate"], ["evaluate", "--metric", "legacy"], ["compare"])),
+    ["evaluate", *LEAD, "--senses", "lead_off.senses", "--senses-system", "lead_02.senses",
+     "lead_gold.props", "lead_gold.props"],
+    ["compare", *LEAD, "--senses", "lead_off.senses", "--senses-system", "lead_02.senses",
+     "lead_gold.props", "lead_gold.props"],
+    ["evaluate", *LEAD, "--senses", "lead_gold.senses", "--senses-system", "lead_off.senses",
+     "lead_gold.props", "lead_p1.props"],
+    ["evaluate", *LEAD, "--senses", "lead_s9.senses", "lead_gold.props", "lead_gold.props"],
 ]
 
 
@@ -99,7 +119,8 @@ def commands() -> list[list[str]]:
     for fmt in ("conll09", "conll05"):
         files = _files(fmt)
         families = sorted({name.split("_")[0] for name in files})
-        variants = [[]] if fmt == "conll09" else [[], ["senses"]]
+        variants = [()] if fmt == "conll09" else [(), ("gold", "system"), ("gold",),
+                                                   ("system",)]
         for family in families:
             members = [name for name in files if name.split("_")[0] == family]
             for variant in variants:
@@ -109,8 +130,9 @@ def commands() -> list[list[str]]:
                         pair = [gold, system]
                         if fmt == "conll05":
                             io_args += ["--words", family + ".words"]
-                        if variant:
+                        if "gold" in variant:
                             io_args += ["--senses", gold.split(".")[0] + ".senses"]
+                        if "system" in variant:
                             pair[:0] = ["--senses-system", system.split(".")[0] + ".senses"]
                         for metric in ("primesrl", "legacy"):
                             runs.append(["evaluate", *io_args, "--metric", metric,

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import DATA, counts, load_head, load_span
@@ -100,6 +102,27 @@ class TestSenseConditionedArguments:
                           "legacy_head")
         assert counts(report.predicate_counts) == self.LEGACY_PRED[case]
         assert counts(report.argument_counts) == (3, 3, 3)
+
+    @staticmethod
+    def unsensed(case):
+        """A buy corpus whose predicate's PRED cell is `_`."""
+        text = (DATA / ("buy_%s.conll" % case)).read_text()
+        return parse_conll09(re.sub(r"\tY\t\S+", "\tY\t_", text))
+
+    @pytest.mark.parametrize("metric", ["primesrl", "legacy_head"])
+    @pytest.mark.parametrize("case", ["gold", "p1", "p2", "p3"])
+    def test_gold_without_senses_credits_every_pair(self, case, metric):
+        report = evaluate(self.unsensed("gold"), load_head("buy_" + case), metric)
+        assert counts(report.predicate_counts) == (1, 1, 1)
+        assert counts(report.argument_counts) == (3, 3, 3)
+
+    @pytest.mark.parametrize("metric, args", [("primesrl", (1, 3, 3)),
+                                              ("legacy_head", (3, 3, 3))])
+    @pytest.mark.parametrize("case", ["gold", "p1", "p2", "p3"])
+    def test_system_without_senses_earns_no_predicate_credit(self, case, metric, args):
+        report = evaluate(load_head("buy_gold"), self.unsensed(case), metric)
+        assert counts(report.predicate_counts) == (0, 1, 1)
+        assert counts(report.argument_counts) == args
 
     def test_per_label_breakdown(self):
         report = evaluate(load_head("buy_gold"), load_head("buy_p3"), "primesrl")
