@@ -279,7 +279,8 @@ def _conll05_reader(word_blocks, props: str,
     """The unparsed (words block, props block) pairs of a token file's blocks
     and a CoNLL-2005 props text, and the function whose n-th call parses pair n.
 
-    Unequal sentence counts are a ParseError, raised as the shorter side ends.
+    Unequal sentence counts are a ParseError, raised as the shorter side ends;
+    so is a sense row that names no predicate, raised once the pairs end.
     """
     # per reader, as in _conll09_reader: props cell -> its (opened, closed)
     # groups, and (opened label text, first row, last row) -> one span part
@@ -287,6 +288,7 @@ def _conll05_reader(word_blocks, props: str,
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
     numbers = itertools.count(1)
+    unused = dict(senses or {})  # sense rows that no predicate has named yet
 
     def parse(pair: tuple[list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
         sent_no = next(numbers)
@@ -347,6 +349,7 @@ def _conll05_reader(word_blocks, props: str,
                                     line=rows[0][0], path=path)
             anchor = verb_parts[0].extent[0]
             sense = (senses or {}).get((sent_no, anchor))
+            unused.pop((sent_no, anchor), None)
             predicates.append(PredicateInstance(anchor=anchor, sense=sense,
                                                 arguments=tuple(parts)))
 
@@ -357,7 +360,13 @@ def _conll05_reader(word_blocks, props: str,
     def mismatch(n_words: int, n_props: int) -> ParseError:
         return ParseError("words file has %d sentences, props file has %d"
                           % (n_words, n_props), path=path)
-    return _pair_blocks(word_blocks, _blocks(props), mismatch), parse
+
+    def pairs():
+        yield from _pair_blocks(word_blocks, _blocks(props), mismatch)
+        if unused:
+            raise ParseError("sense row for sentence %d, token %d names no predicate"
+                             % next(iter(unused)), path=path)
+    return pairs(), parse
 
 
 def parse_conll05(words: str, props: str,

@@ -40,34 +40,19 @@ CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] ta
 # ---------------------------------------------------------------------------
 # predicate scorers
 
-def _tally_predicates(sent: AlignedSentence, correct_fn, tally: list[int]) -> None:
-    """Add one aligned sentence's predicates to a [correct, predicted, gold] tally.
-
-    `correct_fn` None credits every pair; otherwise it judges the pairs in
-    which both predicates have a sense.
-    """
-    tally[PREDICTED] += len(sent.pairs) + len(sent.spurious)
-    tally[GOLD] += len(sent.pairs) + len(sent.missed)
-    if correct_fn is None:
-        tally[CORRECT] += len(sent.pairs)
-        return
-    for gp, sp in sent.pairs:
-        if gp.sense is not None and sp.sense is not None and correct_fn(gp, sp):
-            tally[CORRECT] += 1
-
-
-def _score_predicates(aligned: AlignedCorpus, correct_fn) -> EvalCounts:
-    """Count aligned predicates; `correct_fn` None credits every pair."""
+def _score_predicates(aligned: AlignedCorpus, rule) -> EvalCounts:
+    """Count aligned predicates with the scoring core and no units; `rule` None
+    credits every pair."""
     tally = [0, 0, 0]
     for sent in aligned.sentences:
-        if correct_fn is not None:
+        if rule is not None:
             # every gold predicate, matched or missed; both lists are in anchor order
             unsensed = [gp.anchor for gp, _ in sent.pairs if gp.sense is None]
             unsensed += [gp.anchor for gp in sent.missed if gp.sense is None]
             if unsensed:
                 raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
                                        % (sent.index, min(unsensed)))
-        _tally_predicates(sent, correct_fn, tally)
+        _score_sentence(sent, lambda pred: [], None, rule, tally, {})
     return EvalCounts(*tally)
 
 
@@ -135,18 +120,18 @@ def _span_units(pred: PredicateInstance) -> list[tuple]:
     return [(unit[0][0], unit) for unit in chain_spans(pred)]
 
 
-def _strict_credit(matched: list[tuple], gp: PredicateInstance,
-                   sp: PredicateInstance) -> list[tuple]:
-    """Core units need the joint sense; an R- unit needs a credited same-base referent."""
-    if gp.sense is not None and sp.sense != gp.sense:
+def _strict_credit(matched: list[tuple], credited: bool) -> list[tuple]:
+    """Core units need their predicate's credit; an R- unit needs a credited
+    same-base referent."""
+    if not credited:
         matched = [unit for unit in matched if not unit[2]]
     referents = {item[1].base_label.base for item in matched if not item[1].is_reference}
     return [item for item in matched
             if not item[1].is_reference or item[1].base_label.base in referents]
 
 
-# metric -> (unit builder, credit filter over the matched system units,
-#            predicate credit when gold has senses; None credits every pair)
+# metric -> (unit builder, credit filter over the matched system units and the
+#            pair's predicate credit, predicate rule; None credits every pair)
 METRICS = {
     "primesrl": (_strict_units, _strict_credit, _lemma_and_sense),
     "legacy_head": (_head_units, None, _sense_number),
@@ -154,11 +139,13 @@ METRICS = {
 }
 
 
-def _score_sentence(sent: AlignedSentence, units, credit,
+def _score_sentence(sent: AlignedSentence, units, credit, rule, predicates: list[int],
                     labels: dict[str, list[int]]) -> list[int]:
-    """Tally one aligned sentence into `labels` (label -> tally) and return
-    the sentence's own [correct, predicted, gold] tally."""
+    """Tally one aligned sentence's predicates into `predicates` and its units
+    into `labels` (label -> tally); return the sentence's own argument tally."""
     total = [0, 0, 0]
+    predicates[PREDICTED] += len(sent.pairs) + len(sent.spurious)
+    predicates[GOLD] += len(sent.pairs) + len(sent.missed)
 
     def add(items: list[tuple], kind: int) -> None:
         for item in items:
@@ -173,6 +160,11 @@ def _score_sentence(sent: AlignedSentence, units, credit,
     for sp in sent.spurious:
         add(units(sp), PREDICTED)
     for gp, sp in sent.pairs:
+        # one credit per pair, shared by the predicate tally and the credit
+        # filter; a gold predicate without a sense means gold without senses
+        # (score_pairs rejects a mix), which credits every pair
+        credited = rule is None or gp.sense is None or (sp.sense is not None and rule(gp, sp))
+        predicates[CORRECT] += credited
         gold_units = units(gp)
         sys_units = units(sp)
         add(gold_units, GOLD)
@@ -184,7 +176,7 @@ def _score_sentence(sent: AlignedSentence, units, credit,
             if available[unit[1]] > 0:
                 available[unit[1]] -= 1
                 matched.append(unit)
-        add(credit(matched, gp, sp) if credit else matched, CORRECT)
+        add(credit(matched, credited) if credit else matched, CORRECT)
     return total
 
 
@@ -242,24 +234,20 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]
     gold side has senses is a whole-corpus question, so MissingGoldSense is
     raised at the end.
     """
-    trivial = [0, 0, 0]  # the predicate tally with every pair credited
     sensed = False  # whether some gold predicate has a sense
     unsensed = None  # (sentence, anchor) of the first gold predicate without one
-    # per metric: (unit builder, credit filter, predicate credit, predicate tally,
+    # per metric: (unit builder, credit filter, predicate rule, predicate tally,
     #              argument tally, label -> tally, per-sentence records)
     runs = [(*METRICS[metric], [0, 0, 0], [0, 0, 0], {}, []) for metric in metrics]
     for idx, (gs, ss) in enumerate(pairs, start=1):
         sent = _align_sentence(idx, gs, ss)
-        _tally_predicates(sent, None, trivial)
         if unsensed is None or not sensed:
             anchors = [gp.anchor for gp in gs.predicates if gp.sense is None]
             sensed = sensed or len(anchors) < len(gs.predicates)
             if anchors and unsensed is None:
                 unsensed = (idx, min(anchors))
-        for units, credit, correct_fn, predicates, total, labels, per_sentence in runs:
-            if correct_fn is not None:
-                _tally_predicates(sent, correct_fn, predicates)
-            counts = _score_sentence(sent, units, credit, labels)
+        for units, credit, rule, predicates, total, labels, per_sentence in runs:
+            counts = _score_sentence(sent, units, credit, rule, predicates, labels)
             for i in range(3):
                 total[i] += counts[i]
             per_sentence.append(EvalCounts(*counts))
@@ -267,17 +255,13 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]
     if sensed and unsensed is not None and any(run[2] is not None for run in runs):
         raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
                                % unsensed)
-    reports = []
-    for metric, (_, _, correct_fn, predicates, total, labels, per_sentence) in zip(metrics, runs):
-        if not sensed or correct_fn is None:
-            predicates = trivial
-        reports.append(ScoreReport(metric=metric, mode=mode,
-                                   predicate_counts=EvalCounts(*predicates),
-                                   argument_counts=EvalCounts(*total),
-                                   per_label={label: EvalCounts(*labels[label])
-                                              for label in sorted(labels, key=label_sort_key)},
-                                   per_sentence=per_sentence))
-    return reports
+    return [ScoreReport(metric=metric, mode=mode,
+                        predicate_counts=EvalCounts(*predicates),
+                        argument_counts=EvalCounts(*total),
+                        per_label={label: EvalCounts(*labels[label])
+                                   for label in sorted(labels, key=label_sort_key)},
+                        per_sentence=per_sentence)
+            for metric, (_, _, _, predicates, total, labels, per_sentence) in zip(metrics, runs)]
 
 
 def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:

@@ -184,6 +184,27 @@ class TestExitCodes:
         code = run(["stats", str(empty)])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("side", ["gold", "system"])
+    def test_sense_row_without_a_predicate(self, side, tmp_path, capsys):
+        # two lead sentences, predicate at token 7; one side's row for sentence 2
+        # is a token off, which on the gold side would also leave gold mixing
+        # sensed and sense-less predicates (exit 4 at the end of the pass)
+        words = tmp_path / "lead.words"
+        words.write_text((DATA / "lead.words").read_text() * 2)
+        files = {}
+        for name, rows in (("gold", "1\t7\tlead.01\n2\t7\tlead.01\n"),
+                           ("system", "1\t7\tlead.01\n2\t7\tlead.02\n")):
+            files[name] = tmp_path / (name + ".props"), tmp_path / (name + ".senses")
+            files[name][0].write_text((DATA / "lead_gold.props").read_text() * 2)
+            files[name][1].write_text(rows.replace("2\t7", "2\t6") if name == side else rows)
+        code = run(["evaluate", "--format", "conll05", "--words", str(words),
+                    "--senses", str(files["gold"][1]), "--senses-system", str(files["system"][1]),
+                    str(files["gold"][0]), str(files["system"][0])])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err == ("parse error: %s: sense row for sentence 2, token 6 names no predicate\n"
+                       % files[side][0])
+
     def test_gold_mixing_senses_and_underscores(self, tmp_path, capsys):
         text = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
         mixed = tmp_path / "mixed.conll"

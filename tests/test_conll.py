@@ -149,6 +149,16 @@ class TestParseSpan:
             assert err.value.line == line
             assert "s.senses:line %d: " % line in str(err.value)
 
+    @pytest.mark.parametrize("row, key", [("1\t2\tbe.01\n", (1, 2)),  # token 2 is no predicate
+                                          ("1\t3\tbe.01\n9\t3\tbe.01\n", (9, 3))],
+                             ids=["token-off", "sentence-past-the-end"])
+    def test_sidecar_row_without_a_predicate(self, row, key):
+        props = "\n".join(["-\t(A0*)", "-\t*", "be\t(V*)", "-\t(A1*", "-\t*)"]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll05(self.WORDS, props, senses=parse_sense_sidecar(row), path="s.props")
+        assert str(err.value) == ("s.props: sense row for sentence %d, token %d names no predicate"
+                                  % key)
+
     def test_unclosed_span_reports_opening_line(self):
         props = "\n".join(["-\t*", "be\t(V*)", "-\t(A0*", "-\t*", "-\t*"]) + "\n"
         with pytest.raises(UnbalancedBracket) as err:
