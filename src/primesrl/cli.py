@@ -105,9 +105,7 @@ def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
 
 
 def _metric_name(metric: str, fmt: str) -> str:
-    if metric == "legacy":
-        return "legacy_head" if fmt == "conll09" else "legacy_span"
-    return metric
+    return "legacy_" + _mode(fmt) if metric == "legacy" else metric
 
 
 def _counts_line(counts: EvalCounts) -> str:

@@ -140,9 +140,9 @@ def _blocks(text: str):
 
 
 def _pair_blocks(first, second, mismatch):
-    """Yield (first, second) pairs from two iterators of unparsed sentence blocks.
-    When one ends first, raise ``mismatch(n_first, n_second)``; the longer
-    side's remaining blocks are counted, not parsed."""
+    """Yield (first, second) pairs from two iterators of sentences, unparsed
+    blocks or parsed. When one ends first, raise ``mismatch(n_first, n_second)``;
+    the longer side's remaining sentences are counted, not parsed."""
     n = 0
     for block in first:
         other = next(second, None)
@@ -483,10 +483,8 @@ def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:
 
 
 def _corpus_pairs(gold: Corpus, system: Corpus):
-    """The (gold, system) sentence pairs of two parsed corpora of equal length."""
-    if len(gold.sentences) != len(system.sentences):
-        raise _count_mismatch(len(gold.sentences), len(system.sentences))
-    return zip(gold.sentences, system.sentences)
+    """The (gold, system) sentence pairs of two parsed corpora, by the CLI's rule."""
+    return _pair_blocks(iter(gold.sentences), iter(system.sentences), _count_mismatch)
 
 
 def align(gold: Corpus, system: Corpus) -> AlignedCorpus:

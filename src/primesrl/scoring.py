@@ -43,17 +43,9 @@ CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] ta
 def _score_predicates(aligned: AlignedCorpus, rule) -> EvalCounts:
     """Count aligned predicates with the scoring core and no units; `rule` None
     credits every pair."""
-    tally = [0, 0, 0]
-    for sent in aligned.sentences:
-        if rule is not None:
-            # every gold predicate, matched or missed; both lists are in anchor order
-            unsensed = [gp.anchor for gp, _ in sent.pairs if gp.sense is None]
-            unsensed += [gp.anchor for gp in sent.missed if gp.sense is None]
-            if unsensed:
-                raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
-                                       % (sent.index, min(unsensed)))
-        _score_sentence(sent, lambda pred: [], None, rule, tally, {})
-    return EvalCounts(*tally)
+    run = (lambda pred: [], None, rule, [0, 0, 0], {}, [])
+    _score_aligned(aligned.sentences, [run])
+    return EvalCounts(*run[3])
 
 
 def _lemma_and_sense(gp: PredicateInstance, sp: PredicateInstance) -> bool:
@@ -162,7 +154,7 @@ def _score_sentence(sent: AlignedSentence, units, credit, rule, predicates: list
     for gp, sp in sent.pairs:
         # one credit per pair, shared by the predicate tally and the credit
         # filter; a gold predicate without a sense means gold without senses
-        # (score_pairs rejects a mix), which credits every pair
+        # (_score_aligned rejects a mix), which credits every pair
         credited = rule is None or gp.sense is None or (sp.sense is not None and rule(gp, sp))
         predicates[CORRECT] += credited
         gold_units = units(gp)
@@ -178,6 +170,30 @@ def _score_sentence(sent: AlignedSentence, units, credit, rule, predicates: list
                 matched.append(unit)
         add(credit(matched, credited) if credit else matched, CORRECT)
     return total
+
+
+def _score_aligned(sentences, runs: list[tuple]) -> None:
+    """Tally aligned sentences, drawn one at a time, into each run: (unit builder,
+    credit filter, predicate rule, predicate tally, label -> tally, per-sentence
+    records). Gold without senses credits every pair; as that is a whole-corpus
+    question, gold mixing sensed and sense-less predicates raises
+    MissingGoldSense at the end when some run has a predicate rule."""
+    sensed = False  # whether some gold predicate has a sense
+    unsensed = None  # (sentence, anchor) of the first gold predicate without one
+    for sent in sentences:
+        if unsensed is None or not sensed:
+            # every gold predicate, matched or missed; both lists are in anchor order
+            anchors = [gp.anchor for gp, _ in sent.pairs if gp.sense is None]
+            anchors += [gp.anchor for gp in sent.missed if gp.sense is None]
+            sensed = sensed or len(anchors) < len(sent.pairs) + len(sent.missed)
+            if anchors and unsensed is None:
+                unsensed = (sent.index, min(anchors))
+        for units, credit, rule, predicates, labels, per_sentence in runs:
+            per_sentence.append(EvalCounts(*_score_sentence(sent, units, credit, rule,
+                                                            predicates, labels)))
+    if sensed and unsensed is not None and any(run[2] is not None for run in runs):
+        raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
+                               % unsensed)
 
 
 # ---------------------------------------------------------------------------
@@ -230,38 +246,20 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]
     """Align and score (gold, system) sentence pairs in one pass; one report per metric.
 
     Pairs are drawn, aligned and scored one at a time, so an error raised
-    while drawing or aligning sentence k stops the pass there. Whether the
-    gold side has senses is a whole-corpus question, so MissingGoldSense is
-    raised at the end.
+    while drawing or aligning sentence k stops the pass there.
     """
-    sensed = False  # whether some gold predicate has a sense
-    unsensed = None  # (sentence, anchor) of the first gold predicate without one
-    # per metric: (unit builder, credit filter, predicate rule, predicate tally,
-    #              argument tally, label -> tally, per-sentence records)
-    runs = [(*METRICS[metric], [0, 0, 0], [0, 0, 0], {}, []) for metric in metrics]
-    for idx, (gs, ss) in enumerate(pairs, start=1):
-        sent = _align_sentence(idx, gs, ss)
-        if unsensed is None or not sensed:
-            anchors = [gp.anchor for gp in gs.predicates if gp.sense is None]
-            sensed = sensed or len(anchors) < len(gs.predicates)
-            if anchors and unsensed is None:
-                unsensed = (idx, min(anchors))
-        for units, credit, rule, predicates, total, labels, per_sentence in runs:
-            counts = _score_sentence(sent, units, credit, rule, predicates, labels)
-            for i in range(3):
-                total[i] += counts[i]
-            per_sentence.append(EvalCounts(*counts))
-
-    if sensed and unsensed is not None and any(run[2] is not None for run in runs):
-        raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
-                               % unsensed)
+    # one _score_aligned run per metric
+    runs = [(*METRICS[metric], [0, 0, 0], {}, []) for metric in metrics]
+    _score_aligned((_align_sentence(idx, gs, ss) for idx, (gs, ss) in enumerate(pairs, start=1)),
+                   runs)
+    # every unit is in exactly one label's tally
     return [ScoreReport(metric=metric, mode=mode,
                         predicate_counts=EvalCounts(*predicates),
-                        argument_counts=EvalCounts(*total),
+                        argument_counts=EvalCounts(*map(sum, zip([0, 0, 0], *labels.values()))),
                         per_label={label: EvalCounts(*labels[label])
                                    for label in sorted(labels, key=label_sort_key)},
                         per_sentence=per_sentence)
-            for metric, (_, _, _, predicates, total, labels, per_sentence) in zip(metrics, runs)]
+            for metric, (_, _, _, predicates, labels, per_sentence) in zip(metrics, runs)]
 
 
 def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:

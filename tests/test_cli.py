@@ -205,6 +205,25 @@ class TestExitCodes:
         assert err == ("parse error: %s: sense row for sentence 2, token 6 names no predicate\n"
                        % files[side][0])
 
+    @pytest.mark.parametrize("short", ["gold", "system"])
+    def test_conll05_props_file_short_of_the_words(self, short, tmp_path, capsys):
+        # both props files pair with the one --words file, so a props file one
+        # sentence short is a parse error of that file (2), not an alignment
+        # error between gold and system (3) as in conll09
+        words = tmp_path / "two.words"
+        words.write_text((DATA / "lead.words").read_text() * 2)
+        props = {}
+        for side in ("gold", "system"):
+            props[side] = tmp_path / (side + ".props")
+            props[side].write_text((DATA / "lead_gold.props").read_text()
+                                   * (1 if side == short else 2))
+        code = run(["evaluate", "--format", "conll05", "--words", str(words),
+                    str(props["gold"]), str(props["system"])])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err == ("parse error: %s: words file has 2 sentences, props file has 1\n"
+                       % props[short])
+
     def test_gold_mixing_senses_and_underscores(self, tmp_path, capsys):
         text = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
         mixed = tmp_path / "mixed.conll"

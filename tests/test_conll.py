@@ -159,6 +159,14 @@ class TestParseSpan:
         assert str(err.value) == ("s.props: sense row for sentence %d, token %d names no predicate"
                                   % key)
 
+    def test_row_with_another_column_count(self):
+        # every row of a sentence needs as many columns as its first row
+        props = "\n".join(["-\t(A0*)", "-\t*", "be\t(V*)\t*", "-\t(A1*", "-\t*)"]) + "\n"
+        with pytest.raises(ColumnCountMismatch) as err:
+            parse_conll05(self.WORDS, props, path="s.props")
+        assert err.value.line == 3
+        assert str(err.value) == "s.props:line 3: expected 2 columns, found 3"
+
     def test_unclosed_span_reports_opening_line(self):
         props = "\n".join(["-\t*", "be\t(V*)", "-\t(A0*", "-\t*", "-\t*"]) + "\n"
         with pytest.raises(UnbalancedBracket) as err:

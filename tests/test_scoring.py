@@ -3,6 +3,7 @@ import re
 import pytest
 
 from conftest import DATA, counts, load_head, load_span
+from pin_outputs import RENAMED, SENTENCE
 from primesrl import (
     Corpus,
     RoleLabel,
@@ -16,6 +17,7 @@ from primesrl import (
     score_predicates_legacy09,
     score_predicates_primesrl,
 )
+from primesrl.conll import TokenMismatch
 from primesrl.model import PredicateInstance, RawArgument
 from primesrl.scoring import (
     EmptyCorpus,
@@ -54,10 +56,14 @@ class TestPredicateScorers:
         aligned = align(single_pred_corpus("buy.01"), single_pred_corpus(None))
         assert counts(score_predicates_primesrl(aligned)) == (0, 1, 1)
 
-    def test_gold_without_sense_raises(self):
-        aligned = align(single_pred_corpus(None), single_pred_corpus("buy.01"))
-        with pytest.raises(MissingGoldSense):
-            score_predicates_primesrl(aligned)
+    def test_gold_without_sense_credits_every_pair(self):
+        # the convention of evaluate: gold without any sense credits every pair
+        gold, system = single_pred_corpus(None), single_pred_corpus("buy.01")
+        aligned = align(gold, system)
+        assert counts(score_predicates_primesrl(aligned)) == (1, 1, 1)
+        assert counts(score_predicates_legacy09(aligned)) == (1, 1, 1)
+        for metric in ("primesrl", "legacy_head"):
+            assert counts(evaluate(gold, system, metric).predicate_counts) == (1, 1, 1)
 
     def test_missed_gold_predicate_without_sense_raises(self):
         sensed, unsensed = single_pred_corpus("buy.01"), single_pred_corpus(None)
@@ -68,10 +74,13 @@ class TestPredicateScorers:
             score_predicates_primesrl(align(gold, system))
 
     def test_first_sense_less_gold_predicate_in_file_order_is_named(self):
-        # token 1 is missed by the system, token 2 is matched; neither has a sense
-        tokens = [Token(1, "stares"), Token(2, "looks")]
+        # token 1 is missed by the system, token 2 is matched; neither has a
+        # sense, and token 3's sense makes the gold side mixed
+        tokens = [Token(1, "stares"), Token(2, "looks"), Token(3, "buys")]
         gold = Corpus([Sentence(tokens, [PredicateInstance(1, None, ()),
-                                         PredicateInstance(2, None, ())])], mode="head")
+                                         PredicateInstance(2, None, ()),
+                                         PredicateInstance(3, SenseLabel("buy", "01"), ())])],
+                      mode="head")
         system = Corpus([Sentence(tokens, [PredicateInstance(2, SenseLabel("look", "01"), ())])],
                         mode="head")
         with pytest.raises(MissingGoldSense, match="sentence 1: gold predicate at token 1 "):
@@ -314,6 +323,16 @@ class TestEvaluateDispatch:
         corpus = load_head("buy_gold")
         with pytest.raises(ValueError):
             evaluate(corpus, corpus, "bleu")
+
+    @pytest.mark.parametrize("score", [align, lambda g, s: evaluate(g, s, "primesrl")],
+                             ids=["align", "evaluate"])
+    def test_first_problem_in_order_wins_over_the_sentence_count(self, score):
+        # as in the CLI: sentence 1's forms differ before the system side ends
+        gold = parse_conll09(SENTENCE * 3)
+        system = parse_conll09(RENAMED + SENTENCE)
+        with pytest.raises(TokenMismatch) as err:
+            score(gold, system)
+        assert (err.value.sentence, err.value.token) == (1, 3)
 
     def test_per_sentence_counts_fold_to_the_total(self):
         gold = Corpus(load_head("tax_gold").sentences + load_head("tax_gold").sentences,

@@ -2,9 +2,9 @@
 
 ``evaluate`` and ``compare`` parse, align and score the gold and system files
 one sentence at a time. Their reports must equal library ``evaluate`` on the
-fully parsed corpora, and on a file with several problems the first one met
-in file order (gold parse, then system parse, then alignment) decides the
-exit code.
+fully parsed corpora, whose predicate counts the predicate scorers repeat,
+and on a file with several problems the first one met in file order (gold
+parse, then system parse, then alignment) decides the exit code.
 """
 
 import contextlib
@@ -22,6 +22,7 @@ from conftest import counts
 from corpusgen import perturb_corpus, random_corpus
 from pin_outputs import MALFORMED, RENAMED, SENTENCE
 from primesrl import (
+    align,
     cli,
     evaluate,
     parse_conll05,
@@ -29,10 +30,12 @@ from primesrl import (
     parse_sense_sidecar,
     serialize_conll05,
     serialize_conll09,
+    score_predicates_legacy09,
+    score_predicates_primesrl,
 )
 from primesrl import conll
 from primesrl.conll import ParseError
-from primesrl.scoring import score_pairs
+from primesrl.scoring import score_pairs, score_predicates_trivial
 
 
 def _sidecar(corpus) -> str:
@@ -97,6 +100,11 @@ def test_streamed_scores_equal_the_library(seed, mode, with_sense):
         legacy = "legacy_head" if mode == "head" else "legacy_span"
         library = {metric: evaluate(gold_parsed, system_parsed, metric)
                    for metric in ("primesrl", legacy)}
+        # the predicate scorers follow the same sense rule as evaluate
+        aligned = align(gold_parsed, system_parsed)
+        legacy_scorer = {"head": score_predicates_legacy09, "span": score_predicates_trivial}
+        assert score_predicates_primesrl(aligned) == library["primesrl"].predicate_counts
+        assert legacy_scorer[mode](aligned) == library[legacy].predicate_counts
         for metric in ("primesrl", "legacy"):
             [report] = _streamed_reports(["evaluate", "--metric", metric, *io_args])
             _same(report, library[report.metric])
