@@ -70,9 +70,7 @@ def _stream(path: str, fmt: str, words, senses: str | None):
     parses each of them in turn; ``words`` is what ``_words`` returned."""
     if fmt == "conll09":
         return _conll09_reader(_read(path), path)
-    sidecar = None
-    if senses is not None:
-        sidecar = parse_sense_sidecar(_read(senses), path=senses)
+    sidecar = {} if senses is None else parse_sense_sidecar(_read(senses), path=senses)
     return _conll05_reader(words, _read(path), sidecar, path)
 
 

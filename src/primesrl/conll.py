@@ -139,6 +139,10 @@ def _blocks(text: str):
         yield block
 
 
+def _sentences(n: int) -> str:
+    return "%d sentence%s" % (n, "" if n == 1 else "s")
+
+
 def _pair_blocks(first, second, mismatch):
     """Yield (first, second) pairs from two iterators of sentences, unparsed
     blocks or parsed. When one ends first, raise ``mismatch(n_first, n_second)``;
@@ -273,14 +277,14 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     return senses
 
 
-def _conll05_reader(word_blocks, props: str,
-                    senses: dict[tuple[int, int], SenseLabel] | None = None,
+def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], SenseLabel],
                     path: str | None = None):
     """The unparsed (words block, props block) pairs of a token file's blocks
     and a CoNLL-2005 props text, and the function whose n-th call parses pair n.
 
-    Unequal sentence counts are a ParseError, raised as the shorter side ends;
-    so is a sense row that names no predicate, raised once the pairs end.
+    Each predicate pops its row from ``senses``. Unequal sentence counts are a
+    ParseError, raised as the shorter side ends; so is a sense row that names
+    no predicate, raised once the pairs end.
     """
     # per reader, as in _conll09_reader: props cell -> its (opened, closed)
     # groups, and (opened label text, first row, last row) -> one span part
@@ -288,7 +292,6 @@ def _conll05_reader(word_blocks, props: str,
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
     numbers = itertools.count(1)
-    unused = dict(senses or {})  # sense rows that no predicate has named yet
 
     def parse(pair: tuple[list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
         sent_no = next(numbers)
@@ -305,6 +308,7 @@ def _conll05_reader(word_blocks, props: str,
                                           line=lineno, path=path)
 
         predicates = []
+        columns: dict[int, int] = {}  # anchor -> its predicate column
         for j in range(width - 1):
             parts = []
             open_text = ""
@@ -348,8 +352,12 @@ def _conll05_reader(word_blocks, props: str,
                 raise AnchorMissing("predicate column %d has no V span" % (j + 1),
                                     line=rows[0][0], path=path)
             anchor = verb_parts[0].extent[0]
-            sense = (senses or {}).get((sent_no, anchor))
-            unused.pop((sent_no, anchor), None)
+            if anchor in columns:
+                raise ParseError("predicate columns %d and %d both anchor at token %d"
+                                 % (columns[anchor], j + 1, anchor),
+                                 line=rows[anchor - 1][0], path=path)
+            columns[anchor] = j + 1
+            sense = senses.pop((sent_no, anchor), None)
             predicates.append(PredicateInstance(anchor=anchor, sense=sense,
                                                 arguments=tuple(parts)))
 
@@ -358,21 +366,23 @@ def _conll05_reader(word_blocks, props: str,
         return Sentence(tokens=tokens, predicates=predicates)
 
     def mismatch(n_words: int, n_props: int) -> ParseError:
-        return ParseError("words file has %d sentences, props file has %d"
-                          % (n_words, n_props), path=path)
+        return ParseError("words file has %s, props file has %d"
+                          % (_sentences(n_words), n_props), path=path)
 
     def pairs():
         yield from _pair_blocks(word_blocks, _blocks(props), mismatch)
-        if unused:
+        if senses:
             raise ParseError("sense row for sentence %d, token %d names no predicate"
-                             % next(iter(unused)), path=path)
+                             % next(iter(senses)), path=path)
     return pairs(), parse
 
 
 def parse_conll05(words: str, props: str,
                   senses: dict[tuple[int, int], SenseLabel] | None = None,
                   path: str | None = None) -> Corpus:
-    blocks, parse = _conll05_reader(_blocks(words), props, senses, path)
+    """A span corpus from a token text and a props text; ``senses`` maps
+    (sentence, anchor token) to a sense and is left unmodified."""
+    blocks, parse = _conll05_reader(_blocks(words), props, dict(senses or {}), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
 
 
@@ -453,7 +463,7 @@ class AlignedCorpus:
 
 
 def _count_mismatch(gold: int, system: int) -> SentenceCountMismatch:
-    return SentenceCountMismatch("gold has %d sentences, system has %d" % (gold, system))
+    return SentenceCountMismatch("gold has %s, system has %d" % (_sentences(gold), system))
 
 
 def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:

@@ -12,7 +12,7 @@ Metrics:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .conll import AlignedCorpus, AlignedSentence, Corpus, _align_sentence, _corpus_pairs
@@ -43,7 +43,7 @@ CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] ta
 def _score_predicates(aligned: AlignedCorpus, rule) -> EvalCounts:
     """Count aligned predicates with the scoring core and no units; `rule` None
     credits every pair."""
-    run = (lambda pred: [], None, rule, [0, 0, 0], {}, [])
+    run = (lambda pred: [], (), rule, [0, 0, 0], {}, [])
     _score_aligned(aligned.sentences, [run])
     return EvalCounts(*run[3])
 
@@ -112,39 +112,38 @@ def _span_units(pred: PredicateInstance) -> list[tuple]:
     return [(unit[0][0], unit) for unit in chain_spans(pred)]
 
 
-def _strict_credit(matched: list[tuple], credited: bool) -> list[tuple]:
-    """Core units need their predicate's credit; an R- unit needs a credited
-    same-base referent."""
-    if not credited:
-        matched = [unit for unit in matched if not unit[2]]
-    referents = {item[1].base_label.base for item in matched if not item[1].is_reference}
-    return [item for item in matched
-            if not item[1].is_reference or item[1].base_label.base in referents]
+def _sense_filter(matched: list[tuple], credited: bool) -> list[tuple]:
+    """Core units need their predicate's credit."""
+    return matched if credited else [unit for unit in matched if not unit[2]]
 
 
-# metric -> (unit builder, credit filter over the matched system units and the
-#            pair's predicate credit, predicate rule; None credits every pair)
+def _reference_filter(matched: list[tuple], credited: bool) -> list[tuple]:
+    """An R- unit needs a matched same-base unit that is not a reference."""
+    referents = {unit[1].base_label.base for unit in matched if not unit[1].is_reference}
+    return [unit for unit in matched
+            if not unit[1].is_reference or unit[1].base_label.base in referents]
+
+
+# metric -> (unit builder, argument filters applied in order, predicate rule;
+#            None credits every pair)
 METRICS = {
-    "primesrl": (_strict_units, _strict_credit, _lemma_and_sense),
-    "legacy_head": (_head_units, None, _sense_number),
-    "legacy_span": (_span_units, None, None),
+    "primesrl": (_strict_units, (_sense_filter, _reference_filter), _lemma_and_sense),
+    "legacy_head": (_head_units, (), _sense_number),
+    "legacy_span": (_span_units, (), None),
 }
 
 
-def _score_sentence(sent: AlignedSentence, units, credit, rule, predicates: list[int],
-                    labels: dict[str, list[int]]) -> list[int]:
-    """Tally one aligned sentence's predicates into `predicates` and its units
-    into `labels` (label -> tally); return the sentence's own argument tally."""
+def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: list[int],
+                    labels: dict[str, list[int]], per_sentence: list[EvalCounts]) -> None:
+    """Tally one aligned sentence's predicates into `predicates`, its units into
+    `labels` (label -> tally) and its own argument tally into `per_sentence`."""
     total = [0, 0, 0]
     predicates[PREDICTED] += len(sent.pairs) + len(sent.spurious)
     predicates[GOLD] += len(sent.pairs) + len(sent.missed)
 
     def add(items: list[tuple], kind: int) -> None:
         for item in items:
-            row = labels.get(item[0])
-            if row is None:
-                row = labels[item[0]] = [0, 0, 0]
-            row[kind] += 1
+            labels[item[0]][kind] += 1
         total[kind] += len(items)
 
     for gp in sent.missed:
@@ -152,8 +151,8 @@ def _score_sentence(sent: AlignedSentence, units, credit, rule, predicates: list
     for sp in sent.spurious:
         add(units(sp), PREDICTED)
     for gp, sp in sent.pairs:
-        # one credit per pair, shared by the predicate tally and the credit
-        # filter; a gold predicate without a sense means gold without senses
+        # one credit per pair, shared by the predicate tally and the argument
+        # filters; a gold predicate without a sense means gold without senses
         # (_score_aligned rejects a mix), which credits every pair
         credited = rule is None or gp.sense is None or (sp.sense is not None and rule(gp, sp))
         predicates[CORRECT] += credited
@@ -168,15 +167,17 @@ def _score_sentence(sent: AlignedSentence, units, credit, rule, predicates: list
             if available[unit[1]] > 0:
                 available[unit[1]] -= 1
                 matched.append(unit)
-        add(credit(matched, credited) if credit else matched, CORRECT)
-    return total
+        for keep in filters:
+            matched = keep(matched, credited)
+        add(matched, CORRECT)
+    per_sentence.append(EvalCounts(*total))
 
 
 def _score_aligned(sentences, runs: list[tuple]) -> None:
     """Tally aligned sentences, drawn one at a time, into each run: (unit builder,
-    credit filter, predicate rule, predicate tally, label -> tally, per-sentence
-    records). Gold without senses credits every pair; as that is a whole-corpus
-    question, gold mixing sensed and sense-less predicates raises
+    argument filters, predicate rule, predicate tally, label -> tally defaultdict,
+    per-sentence records). Gold without senses credits every pair; as that is a
+    whole-corpus question, gold mixing sensed and sense-less predicates raises
     MissingGoldSense at the end when some run has a predicate rule."""
     sensed = False  # whether some gold predicate has a sense
     unsensed = None  # (sentence, anchor) of the first gold predicate without one
@@ -188,9 +189,8 @@ def _score_aligned(sentences, runs: list[tuple]) -> None:
             sensed = sensed or len(anchors) < len(sent.pairs) + len(sent.missed)
             if anchors and unsensed is None:
                 unsensed = (sent.index, min(anchors))
-        for units, credit, rule, predicates, labels, per_sentence in runs:
-            per_sentence.append(EvalCounts(*_score_sentence(sent, units, credit, rule,
-                                                            predicates, labels)))
+        for run in runs:
+            _score_sentence(sent, *run)
     if sensed and unsensed is not None and any(run[2] is not None for run in runs):
         raise MissingGoldSense("sentence %d: gold predicate at token %d has no sense"
                                % unsensed)
@@ -249,7 +249,7 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]
     while drawing or aligning sentence k stops the pass there.
     """
     # one _score_aligned run per metric
-    runs = [(*METRICS[metric], [0, 0, 0], {}, []) for metric in metrics]
+    runs = [(*METRICS[metric], [0, 0, 0], defaultdict(lambda: [0, 0, 0]), []) for metric in metrics]
     _score_aligned((_align_sentence(idx, gs, ss) for idx, (gs, ss) in enumerate(pairs, start=1)),
                    runs)
     # every unit is in exactly one label's tally

@@ -1,0 +1,42 @@
+"""Every benchmark workload, run once on the benchmark's 40-sentence smoke corpus.
+
+Each command must pass the benchmark's own oracle checks and reproduce the
+output fingerprint pinned for it in ``bench/fingerprints.json``, so a change
+that would make ``bench/run.py`` count a wrong outcome fails here first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look up their class's module here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    return _load("bench_run", BENCH / "run.py"), _load("bench_corpus", BENCH / "corpus.py")
+
+
+def test_every_workload_matches_its_pin(bench):
+    run, corpus = bench
+    corpus_dir, meta = corpus.ensure(run.CACHE, 1, 40)
+    pins = run._load_fingerprints()[meta["input_sha256"]]
+    found = {}
+    for workload in run.WORKLOADS:
+        out = run.run_child("run", run.command(workload, corpus_dir), corpus_dir)
+        wrong = run.problems(workload, meta, out)
+        if not wrong and out.digest() != pins[workload]["sha256"]:
+            wrong = ["output differs from the pin; scores now %s" % (run.scores(workload, out),)]
+        if wrong:
+            found[workload] = wrong
+    assert found == {}

@@ -205,6 +205,17 @@ class TestExitCodes:
         assert err == ("parse error: %s: sense row for sentence 2, token 6 names no predicate\n"
                        % files[side][0])
 
+    def test_two_conll05_columns_anchored_on_one_token(self, tmp_path, capsys):
+        words, props = tmp_path / "four.words", tmp_path / "g.props"
+        words.write_text("w\ng\nx\ny\n\n")
+        props.write_text("-\t*\t*\n-\t(A0*)\t*\nx\t(V*)\t(V*)\n-\t*\t(A1*)\n")
+        code = run(["evaluate", "--format", "conll05", "--words", str(words),
+                    str(props), str(props)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err == ("parse error: %s:line 3: predicate columns 1 and 2 both anchor at token 3\n"
+                       % props)
+
     @pytest.mark.parametrize("short", ["gold", "system"])
     def test_conll05_props_file_short_of_the_words(self, short, tmp_path, capsys):
         # both props files pair with the one --words file, so a props file one

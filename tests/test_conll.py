@@ -7,8 +7,13 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA, load_head, load_span
 from corpusgen import perturb_corpus, random_corpus
 from primesrl import (
+    Corpus,
+    PredicateInstance,
+    RawArgument,
     RoleLabel,
     SenseLabel,
+    Sentence,
+    Token,
     align,
     parse_conll05,
     parse_conll09,
@@ -135,6 +140,12 @@ class TestParseSpan:
         pred = corpus.sentences[0].predicates[0]
         assert pred.sense == SenseLabel("be", "01")
 
+    def test_sidecar_dict_is_left_unchanged(self):
+        props = "\n".join(["-\t(A0*)", "-\t*", "be\t(V*)", "-\t(A1*", "-\t*)"]) + "\n"
+        senses = parse_sense_sidecar("1\t3\tbe.01\n")
+        parse_conll05(self.WORDS, props, senses=senses)
+        assert senses == {(1, 3): SenseLabel("be", "01")}
+
     def test_sidecar_rejects_bad_rows(self):
         with pytest.raises(ParseError) as err:
             parse_sense_sidecar("1\t3\n")
@@ -201,6 +212,16 @@ class TestParseSpan:
         with pytest.raises(AnchorMissing):
             parse_conll05(self.WORDS, props)
 
+    def test_two_columns_anchored_on_one_token(self):
+        # one predicate per anchor: pairing and sense rows are keyed by it
+        props = "\n".join(["-\t*\t*", "-\t(A0*)\t*", "be\t(V*)\t(V*)", "-\t*\t(A1*)",
+                           "-\t*\t*"]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll05(self.WORDS, props, path="s.props")
+        assert type(err.value) is ParseError
+        assert err.value.line == 3
+        assert str(err.value) == "s.props:line 3: predicate columns 1 and 2 both anchor at token 3"
+
     def test_sentence_count_must_match_words(self):
         props = "\n".join(["-\t(V*)"] * 5) + "\n\n-\t(V*)\n"
         with pytest.raises(ParseError):
@@ -248,6 +269,38 @@ class TestSerialize:
             serialize_conll05(head)
         with pytest.raises(ModeMismatch):
             serialize_conll09(span)
+
+    @staticmethod
+    def one_predicate(mode: str, *arguments: tuple[str, tuple[int, ...]]) -> Corpus:
+        """One four-token sentence whose predicate at token 2 has ``arguments``."""
+        args = tuple(RawArgument(RoleLabel.parse(label), extent) for label, extent in arguments)
+        tokens = [Token(i, "w%d" % i) for i in range(1, 5)]
+        return Corpus([Sentence(tokens, [PredicateInstance(2, SenseLabel("be", "01"), args)])],
+                      mode=mode)
+
+    def test_head_argument_over_two_tokens(self):
+        with pytest.raises(ModeMismatch, match="multi-token"):
+            serialize_conll09(self.one_predicate("head", ("A0", (3, 4))))
+
+    def test_two_head_labels_on_one_token(self):
+        with pytest.raises(ValueError, match="two labels on one token"):
+            serialize_conll09(self.one_predicate("head", ("A0", (3,)), ("A1", (3,))))
+
+    def test_span_predicate_without_a_verb_part_gets_one_at_its_anchor(self):
+        words, props = serialize_conll05(self.one_predicate("span", ("A1", (3, 4))))
+        assert props.splitlines() == ["-\t*", "be\t(V*)", "-\t(A1*", "-\t*)"]
+        pred = parse_conll05(words, props).sentences[0].predicates[0]
+        assert [(str(a.label), a.extent) for a in pred.arguments] == [("V", (2,)),
+                                                                       ("A1", (3, 4))]
+
+    def test_non_contiguous_span_part(self):
+        with pytest.raises(ValueError, match="not contiguous"):
+            serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A1", (1, 3))))
+
+    def test_overlapping_span_parts(self):
+        with pytest.raises(ValueError, match="overlapping"):
+            serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A0", (3, 4)),
+                                                 ("A1", (3,))))
 
     @pytest.mark.parametrize("seed", [3, 5, 6, 7, 9])
     def test_perturbed_head_corpus_round_trip(self, seed):

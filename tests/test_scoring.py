@@ -1,11 +1,16 @@
+import random
 import re
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import DATA, counts, load_head, load_span
+from corpusgen import perturb_corpus, random_corpus
 from pin_outputs import RENAMED, SENTENCE
 from primesrl import (
     Corpus,
+    EvalCounts,
     RoleLabel,
     SenseLabel,
     Sentence,
@@ -13,15 +18,25 @@ from primesrl import (
     align,
     evaluate,
     corpus_stats,
+    parse_conll05,
     parse_conll09,
     score_predicates_legacy09,
     score_predicates_primesrl,
+    serialize_conll05,
 )
 from primesrl.conll import TokenMismatch
 from primesrl.model import PredicateInstance, RawArgument
 from primesrl.scoring import (
+    CORRECT,
     EmptyCorpus,
+    GOLD,
     MissingGoldSense,
+    PREDICTED,
+    _lemma_and_sense,
+    _reference_filter,
+    _score_aligned,
+    _sense_filter,
+    _strict_units,
     chain_spans,
     score_predicates_trivial,
 )
@@ -352,3 +367,58 @@ class TestEvaluateDispatch:
                  sum(c.predicted for c in report.per_label.values()),
                  sum(c.gold for c in report.per_label.values()))
         assert total == counts(report.argument_counts)
+
+
+class TestFilterChain:
+    """The strict metric as merged units plus the sense filter, then the
+    reference filter: each row of the chain only takes credit away, and the
+    full chain in either order is primesrl."""
+
+    CHAINS = ((), (_sense_filter,), (_sense_filter, _reference_filter),
+              (_reference_filter, _sense_filter))
+
+    @classmethod
+    def check(cls, gold: Corpus, system: Corpus) -> None:
+        runs = [(_strict_units, chain, _lemma_and_sense, [0, 0, 0],
+                 defaultdict(lambda: [0, 0, 0]), []) for chain in cls.CHAINS]
+        _score_aligned(align(gold, system).sentences, runs)
+        none, sense, sense_ref, ref_sense = (run[4] for run in runs)
+        for row in (sense, sense_ref, ref_sense):
+            assert {label: (t[PREDICTED], t[GOLD]) for label, t in row.items()} == \
+                {label: (t[PREDICTED], t[GOLD]) for label, t in none.items()}
+        for label in none:
+            assert none[label][CORRECT] >= sense[label][CORRECT] >= sense_ref[label][CORRECT]
+            assert none[label][CORRECT] >= ref_sense[label][CORRECT]
+        strict = evaluate(gold, system, "primesrl").per_label
+        for row in (sense_ref, ref_sense):
+            assert {label: EvalCounts(*t) for label, t in row.items()} == strict
+
+    @staticmethod
+    def load(family: str, case: str, fmt: str) -> Corpus:
+        name = "%s_%s" % (family, case)
+        if fmt == "conll09":
+            return load_head(name)
+        if family != "buy":
+            return load_span(family, name)
+        # buy has no CoNLL-2005 files: write its head corpus as one, with its senses
+        corpus = load_head(name)
+        words, props = serialize_conll05(Corpus(corpus.sentences, mode="span"))
+        senses = {(i, p.anchor): p.sense for i, sentence in enumerate(corpus.sentences, start=1)
+                  for p in sentence.predicates}
+        return parse_conll05(words, props, senses=senses)
+
+    @pytest.mark.parametrize("fmt", ["conll09", "conll05"])
+    @pytest.mark.parametrize("family, case", [("buy", c) for c in ("gold", "p1", "p2", "p3")]
+                             + [("lead", c) for c in LEAD_CASES]
+                             + [("tax", c) for c in TAX_CASES])
+    def test_fixtures(self, family, case, fmt):
+        self.check(self.load(family, "gold", fmt), self.load(family, case, fmt))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans())
+    def test_generated_corpora(self, seed, mode, with_sense):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense)
+        self.check(gold, perturb_corpus(rng, gold))

@@ -145,8 +145,9 @@ def test_gold_parse_error_before_a_later_alignment_error(tmp_path, capsys):
     assert "parse error: %s:line 3: " % (tmp_path / "gold.conll") in err
 
 
-@pytest.mark.parametrize("gold_n, system_n, bad", [(2, 4, 4), (4, 2, 4), (2, 4, 3), (4, 2, 3)],
-                         ids=["2-4", "4-2", "2-4-first-extra", "4-2-first-extra"])
+@pytest.mark.parametrize("gold_n, system_n, bad", [(2, 4, 4), (4, 2, 4), (2, 4, 3), (4, 2, 3),
+                                                   (1, 2, 2), (2, 1, 2)],
+                         ids=["2-4", "4-2", "2-4-first-extra", "4-2-first-extra", "1-2", "2-1"])
 def test_sentence_count_mismatch_counts_the_longer_file_unparsed(gold_n, system_n, bad,
                                                                  tmp_path, capsys):
     # the longer file's sentence ``bad`` is malformed, its last or the first
@@ -156,7 +157,8 @@ def test_sentence_count_mismatch_counts_the_longer_file_unparsed(gold_n, system_
     system = _sentences(system_n, **(edit if system_n > gold_n else {}))
     code, out, err = _run(tmp_path, gold, system, capsys)
     assert code == cli.EXIT_ALIGN and out == ""
-    assert err == "alignment error: gold has %d sentences, system has %d\n" % (gold_n, system_n)
+    noun = "sentence" if gold_n == 1 else "sentences"
+    assert err == "alignment error: gold has %d %s, system has %d\n" % (gold_n, noun, system_n)
 
 
 def test_malformed_senses_warn_with_the_file_and_line(tmp_path, capsys):
@@ -179,7 +181,7 @@ def test_empty_gold_before_a_malformed_system(tmp_path, capsys):
     assert err == "error: %s: no sentences\n" % (tmp_path / "gold.conll")
 
 
-@pytest.mark.parametrize("words_n, props_n", [(2, 4), (4, 2)])
+@pytest.mark.parametrize("words_n, props_n", [(2, 4), (4, 2), (1, 2), (2, 1)])
 def test_words_props_count_mismatch_counts_without_parsing(words_n, props_n):
     # sentences without predicates; a longer props file ends in an unclosed span
     words = "a\nb\n\n" * words_n
@@ -189,8 +191,9 @@ def test_words_props_count_mismatch_counts_without_parsing(words_n, props_n):
         props_n += 1
     with pytest.raises(ParseError) as err:
         parse_conll05(words, props)
-    assert err.value.message == ("words file has %d sentences, props file has %d"
-                                 % (words_n, props_n))
+    noun = "sentence" if words_n == 1 else "sentences"
+    assert err.value.message == ("words file has %d %s, props file has %d"
+                                 % (words_n, noun, props_n))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
