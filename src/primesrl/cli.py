@@ -48,9 +48,9 @@ def _read(path: str) -> str:
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
     try:
-        return data.decode("utf-8-sig")  # drops a leading byte order mark
+        return data.decode("utf-8")  # the parsers drop a leading byte order mark
     except UnicodeDecodeError as exc:
-        # exc.object has the mark removed; count lines the way the parsers do
+        # count lines the way the parsers do
         before = exc.object[:exc.start].decode("utf-8")
         raise ParseError("byte 0x%02x is not valid UTF-8" % exc.object[exc.start],
                          line=len((before + "_").splitlines()), path=path)
@@ -78,9 +78,8 @@ def _mode(fmt: str) -> str:
     return "head" if fmt == "conll09" else "span"
 
 
-def load_corpus(path: str, fmt: str, words: str | None,
-                senses: str | None) -> Corpus:
-    blocks, parse = _stream(path, fmt, _words(fmt, words), senses)
+def load_corpus(path: str, fmt: str, words: str | None) -> Corpus:
+    blocks, parse = _stream(path, fmt, _words(fmt, words), None)
     return Corpus(list(map(parse, blocks)), mode=_mode(fmt))
 
 
@@ -98,7 +97,7 @@ def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
         raise ConfigError("%s: no sentences" % args.gold)
     system, parse_system = _stream(args.system, args.format, system_words, args.senses_system)
     pairs = _pair_blocks(itertools.chain([first], gold), system, _count_mismatch)
-    return score_pairs(((parse_gold(g), parse_system(s)) for g, s in pairs),
+    return score_pairs(((n, parse_gold(g), parse_system(s)) for n, g, s in pairs),
                        metrics, _mode(args.format))
 
 
@@ -176,7 +175,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    corpus = load_corpus(args.path, args.format, args.words, args.senses)
+    corpus = load_corpus(args.path, args.format, args.words)
     stats = corpus_stats(corpus)
     print(_bold("Corpus statistics"))
     print("Sentences: %d" % stats.total_sentences)
@@ -195,8 +194,13 @@ def _add_io_args(parser) -> None:
                         "conll09 and span for conll05 (default: conll09)")
     parser.add_argument("--words", default=None,
                         help="token file shared by gold and system (conll05 only)")
+
+
+def _add_sense_args(parser) -> None:
     parser.add_argument("--senses", default=None,
                         help="sense sidecar for the gold side (conll05 only)")
+    parser.add_argument("--senses-system", default=None,
+                        help="sense sidecar for the system side (conll05 only)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,10 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("gold")
     ev.add_argument("system")
     _add_io_args(ev)
+    _add_sense_args(ev)
     ev.add_argument("--metric", choices=("primesrl", "legacy"), default="primesrl",
                     help="scoring metric (default: primesrl)")
-    ev.add_argument("--senses-system", default=None,
-                    help="sense sidecar for the system side (conll05 only)")
     ev.add_argument("--per-label", action="store_true", help="print a per-label table")
     ev.add_argument("--json", default=None, metavar="PATH",
                     help="write a machine-readable report")
@@ -223,8 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("gold")
     cmp_.add_argument("system")
     _add_io_args(cmp_)
-    cmp_.add_argument("--senses-system", default=None,
-                      help="sense sidecar for the system side (conll05 only)")
+    _add_sense_args(cmp_)
     cmp_.set_defaults(func=cmd_compare)
 
     st = sub.add_parser("stats", help="continuation/reference statistics of one file")

@@ -104,32 +104,33 @@ _CHUNK = 1 << 16  # characters split into lines at a time
 
 
 def _chunks(text: str):
-    """Yield ``text`` in pieces of about ``_CHUNK`` characters, each ending just
-    after a newline, so that splitting each piece into lines gives the lines
-    of the whole text without holding them all at once."""
-    start = 0
+    """Yield ``text`` without one leading byte order mark in pieces of about
+    ``_CHUNK`` characters, each ending just after a newline, so that splitting
+    each piece into lines gives the lines of the whole text without holding
+    them all at once."""
+    start = 1 if text.startswith("\ufeff") else 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
         yield text[start:end]
         start = end
 
 
-def _rows(text: str):
-    """Yield (line_number, stripped_line) for every line that is not a comment.
+def _rows(text: str, comments: bool = False):
+    """(line_number, stripped_line) for every line of ``text``; with ``comments``,
+    lines that start with ``#`` are skipped.
 
     Lines and their numbers are those of ``text.splitlines()``. A blank line
     yields an empty string, which ends a sentence block.
     """
     lines = itertools.chain.from_iterable(map(str.splitlines, _chunks(text)))
-    for row in enumerate(map(str.strip, lines), start=1):
-        if not row[1].startswith("#"):
-            yield row
+    rows = enumerate(map(str.strip, lines), start=1)
+    return (row for row in rows if not row[1].startswith("#")) if comments else rows
 
 
-def _blocks(text: str):
+def _blocks(text: str, comments: bool = False):
     """Yield [(line_number, stripped_line), ...] per sentence."""
     block: list[tuple[int, str]] = []
-    for row in _rows(text):
+    for row in _rows(text, comments):
         if row[1]:
             block.append(row)
         elif block:
@@ -144,16 +145,15 @@ def _sentences(n: int) -> str:
 
 
 def _pair_blocks(first, second, mismatch):
-    """Yield (first, second) pairs from two iterators of sentences, unparsed
-    blocks or parsed. When one ends first, raise ``mismatch(n_first, n_second)``;
-    the longer side's remaining sentences are counted, not parsed."""
+    """Yield (n, first, second) for sentence n, from 1, of two iterators of
+    sentences, unparsed blocks or parsed. When one ends first, raise
+    ``mismatch(n_first, n_second)``; the longer side's rest is counted, not parsed."""
     n = 0
-    for block in first:
+    for n, block in enumerate(first, start=1):
         other = next(second, None)
         if other is None:
-            raise mismatch(n + 1 + sum(1 for _ in first), n)
-        n += 1
-        yield block, other
+            raise mismatch(n + sum(1 for _ in first), n - 1)
+        yield n, block, other
     rest = sum(1 for _ in second)
     if rest:
         raise mismatch(n, n + rest)
@@ -179,7 +179,6 @@ def _conll09_reader(text: str, path: str | None = None):
     labels: dict[str, RoleLabel] = {}
     heads: dict[tuple[str, int], RawArgument] = {}
     senses: dict[str, SenseLabel] = {}
-    where = "" if path is None else path + ":"
 
     def parse(block: list[tuple[int, str]]) -> Sentence:
         rows = []
@@ -233,15 +232,14 @@ def _conll09_reader(text: str, path: str | None = None):
                     sense = senses[cell] = SenseLabel.parse(cell)
                 except LabelError:
                     # not cached, so every occurrence warns with its own line
-                    warnings.warn(
-                        "%sline %d: predicate sense cell %r is not lemma.sense; "
-                        "recorded as sense-missing" % (where, lineno, cell),
-                        MalformedSenseWarning)
+                    warnings.warn(str(ParseError("predicate sense cell %r is not lemma.sense; "
+                                                 "recorded as sense-missing" % cell,
+                                                 line=lineno, path=path)), MalformedSenseWarning)
             predicates.append(PredicateInstance(anchor=i + 1, sense=sense,
                                                 arguments=tuple(args)))
         return Sentence(tokens=tokens, predicates=predicates)
 
-    return _blocks(text), parse
+    return _blocks(text, comments=True), parse
 
 
 def parse_conll09(text: str, path: str | None = None) -> Corpus:
@@ -256,7 +254,7 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
     senses: dict[tuple[int, int], SenseLabel] = {}
     labels: dict[str, SenseLabel] = {}
-    for lineno, line in _rows(text):
+    for lineno, line in _rows(text, comments=True):
         if not line:
             continue
         parts = line.split()
@@ -279,8 +277,8 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
 
 def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], SenseLabel],
                     path: str | None = None):
-    """The unparsed (words block, props block) pairs of a token file's blocks
-    and a CoNLL-2005 props text, and the function whose n-th call parses pair n.
+    """The unparsed (sentence number, words block, props block) triples of a token
+    file's blocks and a CoNLL-2005 props text, and the function that parses one.
 
     Each predicate pops its row from ``senses``. Unequal sentence counts are a
     ParseError, raised as the shorter side ends; so is a sense row that names
@@ -291,11 +289,9 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
     labels: dict[str, RoleLabel] = {}
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
-    numbers = itertools.count(1)
 
-    def parse(pair: tuple[list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
-        sent_no = next(numbers)
-        words, block = pair
+    def parse(triple: tuple[int, list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
+        sent_no, words, block = triple
         rows = [(lineno, line.split()) for lineno, line in block]
         if len(rows) != len(words):
             raise ParseError("sentence %d: %d props rows for %d words"
@@ -314,7 +310,6 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
             open_text = ""
             open_label: RoleLabel | None = None
             open_start = 0
-            open_line = 0
             for i, (lineno, cols) in enumerate(rows):
                 cell = cols[1 + j]
                 groups = cells.get(cell)
@@ -332,7 +327,6 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
                     open_label = _role(labels, opened, lineno, path)
                     open_text = opened
                     open_start = i
-                    open_line = lineno
                 if closed is not None:
                     if open_label is None:
                         raise UnbalancedBracket("close bracket without an open span",
@@ -345,13 +339,12 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
                     open_label = None
             if open_label is not None:
                 raise UnbalancedBracket("span %s never closed" % open_label,
-                                        line=open_line, path=path)
+                                        line=rows[open_start][0], path=path)
 
-            verb_parts = [p for p in parts if p.label.base == VERB_BASE]
-            if not verb_parts:
+            anchor = next((p.extent[0] for p in parts if p.label.base == VERB_BASE), None)
+            if anchor is None:
                 raise AnchorMissing("predicate column %d has no V span" % (j + 1),
                                     line=rows[0][0], path=path)
-            anchor = verb_parts[0].extent[0]
             if anchor in columns:
                 raise ParseError("predicate columns %d and %d both anchor at token %d"
                                  % (columns[anchor], j + 1, anchor),
@@ -386,28 +379,47 @@ def parse_conll05(words: str, props: str,
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
 
 
+def _inside(extent: tuple[int, ...], n_tokens: int, what: str) -> None:
+    if extent[0] < 1 or extent[-1] > n_tokens:
+        raise ValueError("%s %s is outside tokens 1..%d" % (what, extent, n_tokens))
+
+
+def _in_anchor_order(sentence: Sentence) -> list[PredicateInstance]:
+    """The sentence's predicates in anchor order, the order both parsers give;
+    ValueError for an anchor that is outside the sentence or repeats."""
+    predicates = sorted(sentence.predicates, key=lambda p: p.anchor)
+    previous = 0
+    for pred in predicates:
+        _inside((pred.anchor,), len(sentence.tokens), "predicate anchor")
+        if pred.anchor == previous:
+            raise ValueError("two predicates anchored at token %d" % previous)
+        previous = pred.anchor
+    return predicates
+
+
 def serialize_conll09(corpus: Corpus) -> str:
     if corpus.mode != "head":
         raise ModeMismatch("CoNLL-2009 output requires a head-mode corpus")
     out = []
     for sentence in corpus.sentences:
-        n = len(sentence.predicates)
-        apred = [["_"] * len(sentence.tokens) for _ in range(n)]
-        for k, pred in enumerate(sentence.predicates):
+        predicates = _in_anchor_order(sentence)
+        apred = [["_"] * len(sentence.tokens) for _ in predicates]
+        for k, pred in enumerate(predicates):
             for arg in pred.arguments:
                 if len(arg.extent) != 1:
                     raise ModeMismatch("head-mode argument with multi-token extent")
+                _inside(arg.extent, len(sentence.tokens), "argument")
                 i = arg.extent[0] - 1
                 if apred[k][i] != "_":
                     raise ValueError("two labels on one token for one predicate")
                 apred[k][i] = str(arg.label)
-        pred_by_anchor = {p.anchor: p for p in sentence.predicates}
+        pred_by_anchor = {p.anchor: p for p in predicates}
         for token in sentence.tokens:
             pred = pred_by_anchor.get(token.index)
             fillpred = "Y" if pred is not None else "_"
             sense = str(pred.sense) if pred is not None and pred.sense is not None else "_"
             cols = ([str(token.index), token.form] + ["_"] * 10 + [fillpred, sense]
-                    + [apred[k][token.index - 1] for k in range(n)])
+                    + [column[token.index - 1] for column in apred])
             out.append("\t".join(cols))
         out.append("")
     return "\n".join(out)
@@ -422,21 +434,30 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
         n_tokens = len(sentence.tokens)
         col0 = ["-"] * n_tokens
         columns = []
-        for pred in sentence.predicates:
+        for pred in _in_anchor_order(sentence):
             opens = [""] * n_tokens
             closes = [""] * n_tokens
             parts = list(pred.arguments)
             if not any(p.label.base == VERB_BASE for p in parts):
                 parts.append(RawArgument(label=RoleLabel(VERB_BASE),
                                          extent=(pred.anchor,)))
+            parts.sort(key=lambda p: p.extent[0])
+            verb = next(p for p in parts if p.label.base == VERB_BASE)
+            if verb.extent[0] != pred.anchor:
+                raise ValueError("first V part starts at token %d, not at the anchor %d"
+                                 % (verb.extent[0], pred.anchor))
+            # the parser reads one open span at a time, so each part must start
+            # after the previous one ends
+            end = 0
             for part in parts:
                 if list(part.extent) != list(range(part.extent[0], part.extent[-1] + 1)):
                     raise ValueError("span part %s is not contiguous" % (part.extent,))
-                start, end = part.extent[0] - 1, part.extent[-1] - 1
-                if opens[start] or closes[end]:
+                _inside(part.extent, n_tokens, "span part")
+                if part.extent[0] <= end:
                     raise ValueError("overlapping span parts in one predicate column")
-                opens[start] = "(" + str(part.label)
-                closes[end] = ")"
+                end = part.extent[-1]
+                opens[part.extent[0] - 1] = "(" + str(part.label)
+                closes[end - 1] = ")"
             columns.append([opens[i] + "*" + closes[i] for i in range(n_tokens)])
             lemma = pred.sense.lemma if pred.sense is not None else \
                 sentence.tokens[pred.anchor - 1].form
@@ -493,11 +514,11 @@ def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:
 
 
 def _corpus_pairs(gold: Corpus, system: Corpus):
-    """The (gold, system) sentence pairs of two parsed corpora, by the CLI's rule."""
+    """The (sentence number, gold, system) triples of two corpora, by the CLI's rule."""
     return _pair_blocks(iter(gold.sentences), iter(system.sentences), _count_mismatch)
 
 
 def align(gold: Corpus, system: Corpus) -> AlignedCorpus:
     """Pair gold and system predicates by anchor token index."""
-    return AlignedCorpus(sentences=[_align_sentence(idx, gs, ss) for idx, (gs, ss)
-                                    in enumerate(_corpus_pairs(gold, system), start=1)])
+    return AlignedCorpus(sentences=[_align_sentence(*triple)
+                                    for triple in _corpus_pairs(gold, system)])

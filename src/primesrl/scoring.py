@@ -243,15 +243,14 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # dispatch
 
 def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]:
-    """Align and score (gold, system) sentence pairs in one pass; one report per metric.
+    """Align and score (n, gold, system) sentence triples in one pass; one report per metric.
 
     Pairs are drawn, aligned and scored one at a time, so an error raised
     while drawing or aligning sentence k stops the pass there.
     """
     # one _score_aligned run per metric
     runs = [(*METRICS[metric], [0, 0, 0], defaultdict(lambda: [0, 0, 0]), []) for metric in metrics]
-    _score_aligned((_align_sentence(idx, gs, ss) for idx, (gs, ss) in enumerate(pairs, start=1)),
-                   runs)
+    _score_aligned((_align_sentence(*triple) for triple in pairs), runs)
     # every unit is in exactly one label's tally
     return [ScoreReport(metric=metric, mode=mode,
                         predicate_counts=EvalCounts(*predicates),

@@ -25,17 +25,22 @@ The sweep:
     sentence past the end), on the gold side and on the system side.
 
 Run ``PYTHONPATH=src python tests/pin_outputs.py`` to rewrite
-tests/data/outputs.json; ``tests/test_outputs.py`` recomputes and compares.
+tests/data/outputs.json; it first prints each command whose digest was
+added, removed or changed. With ``--check`` it prints the same list, writes
+nothing and exits 1 if the list is not empty. ``tests/test_outputs.py``
+recomputes and compares.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -181,7 +186,25 @@ def sweep() -> dict[str, str]:
             os.chdir(cwd)
 
 
+def changes(digests: dict[str, str], pinned: dict[str, str]) -> list[str]:
+    """"added: COMMAND", "removed: COMMAND" or "changed: COMMAND" for each command
+    whose digest in ``digests`` differs from ``pinned``, in command order."""
+    return ["%s: %s" % ("added" if command not in pinned else
+                        "removed" if command not in digests else "changed", command)
+            for command in sorted(digests.keys() | pinned.keys())
+            if digests.get(command) != pinned.get(command)]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Pin the CLI's output on the tests/data sweep.")
+    parser.add_argument("--check", action="store_true",
+                        help="list the changed commands, write nothing, exit 1 if any")
+    args = parser.parse_args()
     pins = sweep()
+    changed = changes(pins, json.loads(PINS.read_text()) if PINS.exists() else {})
+    for line in changed:
+        print(line)
+    if args.check:
+        sys.exit(1 if changed else 0)
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print("pinned %d commands in %s" % (len(pins), PINS))

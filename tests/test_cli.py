@@ -3,7 +3,17 @@ import json
 import pytest
 
 from conftest import DATA
-from primesrl import cli
+from primesrl import (
+    Corpus,
+    PredicateInstance,
+    RawArgument,
+    RoleLabel,
+    SenseLabel,
+    Sentence,
+    Token,
+    cli,
+    serialize_conll05,
+)
 
 
 def path(name):
@@ -103,6 +113,24 @@ class TestEvaluate:
         assert "Argument F1: 1.0000" in capsys.readouterr().out
 
 
+    def test_hash_token_round_trip(self, tmp_path, capsys):
+        # "#" is the Penn Treebank's pound sign; words files have no comments
+        tokens = [Token(i, form) for i, form in enumerate("It cost # 200 .".split(), start=1)]
+        pred = PredicateInstance(2, SenseLabel("cost", "01"),
+                                 (RawArgument(RoleLabel("A1"), (3, 4)),))
+        words, props = serialize_conll05(Corpus([Sentence(tokens, [pred])], mode="span"))
+        files = {"words": words, "p.props": props, "p.senses": "1\t2\tcost.01\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        senses = str(tmp_path / "p.senses")
+        code = run(["evaluate", "--format", "conll05", "--words", str(tmp_path / "words"),
+                    "--senses", senses, "--senses-system", senses,
+                    str(tmp_path / "p.props"), str(tmp_path / "p.props")])
+        assert code == cli.EXIT_OK
+        argument = capsys.readouterr().out.splitlines()[2]
+        assert argument.startswith("Argument F1: 1.0000") and "(correct 1, predicted 1" in argument
+
+
 class TestCompare:
     def test_delta_between_metrics(self, capsys):
         code = run(["compare", path("buy_gold.conll"), path("buy_p3.conll")])
@@ -130,6 +158,15 @@ class TestStats:
     def test_reference_share(self, capsys):
         run(["stats", path("lead_gold.conll")])
         assert "R-X: 33.33%" in capsys.readouterr().out
+
+
+    def test_takes_no_senses(self, capsys):
+        # stats reads no sense, so it offers no sidecar option
+        with pytest.raises(SystemExit) as err:
+            run(["stats", "--format", "conll05", "--words", path("lead.words"),
+                 "--senses", path("lead_gold.props"), path("lead_gold.props")])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --senses" in capsys.readouterr().err
 
 
 class TestExitCodes:

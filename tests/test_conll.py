@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 
@@ -21,6 +22,7 @@ from primesrl import (
     serialize_conll05,
     serialize_conll09,
 )
+from primesrl import conll
 from primesrl.conll import (
     AnchorMissing,
     ColumnCountMismatch,
@@ -37,6 +39,52 @@ from primesrl.conll import (
 
 def row(index, form, fillpred="_", pred="_", apreds=()):
     return "\t".join([str(index), form] + ["_"] * 10 + [fillpred, pred] + list(apreds))
+
+
+@st.composite
+def loose_sentences(draw, mode: str) -> Sentence:
+    """A sentence of 1-5 tokens whose predicates have arbitrary anchors and
+    arbitrary sorted, duplicate-free extents: inside the sentence and one token
+    long in head mode, or, when ``loose`` is drawn, also longer, just outside
+    the sentence, and with anchors that repeat."""
+    n = draw(st.integers(1, 5))
+    loose = draw(st.booleans())
+    tokens = st.integers(-1, n + 1) if loose else st.integers(1, n)
+    width = draw(st.integers(1, 3)) if loose or mode == "span" else 1
+    extents = st.sets(tokens, min_size=1, max_size=width).map(
+        lambda extent: tuple(sorted(extent)))
+    # V twice, so that V parts away from the anchor come up often
+    labels = st.sampled_from(["V", "A0", "A1", "C-A1", "R-A0", "AM-TMP", "V"])
+    arguments = st.lists(st.tuples(labels, extents), max_size=4, unique=True)
+    senses = st.sampled_from([None, SenseLabel("be", "01"), SenseLabel("go", "02")])
+    predicates = draw(st.lists(st.tuples(tokens, senses, arguments), max_size=3,
+                               unique_by=None if loose else (lambda p: p[0])))
+    return Sentence([Token(i, "w%d" % i) for i in range(1, n + 1)],
+                    [PredicateInstance(anchor, sense, tuple(RawArgument(RoleLabel.parse(label),
+                                                                        extent)
+                                                            for label, extent in args))
+                     for anchor, sense, args in predicates])
+
+
+def read_back(sentence: Sentence, mode: str) -> Sentence:
+    """What a parser gives for a sentence that its serializer accepted: predicates
+    in anchor order, arguments by first token, and a V part at the anchor of a
+    span predicate that has none."""
+    predicates = []
+    for pred in sorted(sentence.predicates, key=lambda p: p.anchor):
+        args = list(pred.arguments)
+        if mode == "span" and not any(a.label.is_verb for a in args):
+            args.append(RawArgument(RoleLabel("V"), (pred.anchor,)))
+        args.sort(key=lambda a: a.extent[0])
+        predicates.append(PredicateInstance(pred.anchor, pred.sense, tuple(args)))
+    return Sentence(sentence.tokens, predicates)
+
+
+def sidecar(corpus: Corpus) -> str:
+    """The sense sidecar of a span corpus's sensed predicates."""
+    return "".join("%d\t%d\t%s\n" % (i, p.anchor, p.sense)
+                   for i, sentence in enumerate(corpus.sentences, start=1)
+                   for p in sentence.predicates if p.sense is not None)
 
 
 class TestParseHead:
@@ -234,6 +282,20 @@ class TestParseSpan:
         labels = [str(a.label) for a in pred.arguments]
         assert labels == ["A0", "R-A0", "V", "A4"]
 
+    def test_parse_numbers_sentences_by_the_pairing_not_by_its_calls(self):
+        # three sentences, each with its predicate at token 3 and its own sense
+        words = "\n".join([self.WORDS] * 3)
+        props = "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3)
+        senses = parse_sense_sidecar("1\t3\tbe.01\n2\t3\tbe.02\n3\t3\tbe.03\n")
+        expected = parse_conll05(words, props, senses=senses).sentences
+        blocks, parse = conll._conll05_reader(conll._blocks(words), props, dict(senses))
+        triples = list(itertools.islice(blocks, 3))
+        assert [n for n, _, _ in triples] == [1, 2, 3]
+        parsed = [parse(triple) for triple in reversed(triples)][::-1]
+        assert next(blocks, None) is None  # every sense row found its predicate
+        assert parsed == expected
+        assert [s.predicates[0].sense.sense_id for s in parsed] == ["01", "02", "03"]
+
 
 class TestSerialize:
     def test_head_round_trip(self):
@@ -257,10 +319,39 @@ class TestSerialize:
             assert parse_conll09(serialize_conll09(corpus)) == corpus
             return
         words, props = serialize_conll05(corpus)
-        sidecar = "".join("%d\t%d\t%s\n" % (i, p.anchor, p.sense)
-                          for i, sentence in enumerate(corpus.sentences, start=1)
-                          for p in sentence.predicates)
-        assert parse_conll05(words, props, senses=parse_sense_sidecar(sidecar)) == corpus
+        assert parse_conll05(words, props, senses=parse_sense_sidecar(sidecar(corpus))) == corpus
+
+    @pytest.mark.parametrize("mode", ["head", "span"])
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_serializers_reject_or_write_what_parses_back(self, mode, data):
+        sentences = data.draw(st.lists(loose_sentences(mode), min_size=1, max_size=2))
+        corpus = Corpus(sentences, mode=mode)
+        if mode == "head":
+            try:
+                text = serialize_conll09(corpus)
+            except ValueError:
+                return
+            parsed = parse_conll09(text)
+        else:
+            try:
+                words, props = serialize_conll05(corpus)
+            except ValueError:
+                return
+            parsed = parse_conll05(words, props, senses=parse_sense_sidecar(sidecar(corpus)))
+        assert parsed.sentences == [read_back(sentence, mode) for sentence in sentences]
+
+    def test_hash_token_round_trip(self):
+        # the Penn Treebank writes the pound sign as "#": a words line and, for
+        # the sense-less predicate at it, a props lemma cell, not comments
+        tokens = [Token(i, form) for i, form in enumerate("It cost # 200 .".split(), start=1)]
+        corpus = Corpus([Sentence(tokens, [
+            PredicateInstance(2, SenseLabel("cost", "01"), (RawArgument(RoleLabel("A1"), (3, 4)),)),
+            PredicateInstance(3, None, ())])], mode="span")
+        words, props = serialize_conll05(corpus)
+        assert words.splitlines()[2] == "#" and props.splitlines()[2].startswith("#\t")
+        parsed = parse_conll05(words, props, senses=parse_sense_sidecar(sidecar(corpus)))
+        assert parsed.sentences == [read_back(corpus.sentences[0], "span")]
 
     def test_mode_mismatch(self):
         head = load_head("buy_gold")
@@ -271,12 +362,13 @@ class TestSerialize:
             serialize_conll09(span)
 
     @staticmethod
-    def one_predicate(mode: str, *arguments: tuple[str, tuple[int, ...]]) -> Corpus:
-        """One four-token sentence whose predicate at token 2 has ``arguments``."""
+    def one_predicate(mode: str, *arguments: tuple[str, tuple[int, ...]],
+                      anchor: int = 2) -> Corpus:
+        """One four-token sentence whose predicate at ``anchor`` has ``arguments``."""
         args = tuple(RawArgument(RoleLabel.parse(label), extent) for label, extent in arguments)
         tokens = [Token(i, "w%d" % i) for i in range(1, 5)]
-        return Corpus([Sentence(tokens, [PredicateInstance(2, SenseLabel("be", "01"), args)])],
-                      mode=mode)
+        return Corpus([Sentence(tokens, [PredicateInstance(anchor, SenseLabel("be", "01"),
+                                                           args)])], mode=mode)
 
     def test_head_argument_over_two_tokens(self):
         with pytest.raises(ModeMismatch, match="multi-token"):
@@ -302,6 +394,50 @@ class TestSerialize:
             serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A0", (3, 4)),
                                                  ("A1", (3,))))
 
+    def test_head_predicates_are_written_in_anchor_order(self):
+        # the k-th APRED column belongs to the k-th predicate row in token order
+        corpus = self.one_predicate("head", ("A1", (4,)), anchor=3)
+        corpus.sentences[0].predicates.append(
+            PredicateInstance(2, SenseLabel("go", "01"), (RawArgument(RoleLabel("A0"), (1,)),)))
+        parsed = parse_conll09(serialize_conll09(corpus)).sentences[0]
+        assert parsed.predicates == corpus.sentences[0].predicates[::-1]
+
+    @pytest.mark.parametrize("mode", ["head", "span"])
+    @pytest.mark.parametrize("anchor", [0, 5])
+    def test_anchor_outside_the_sentence(self, mode, anchor):
+        serialize = serialize_conll09 if mode == "head" else serialize_conll05
+        with pytest.raises(ValueError, match="predicate anchor"):
+            serialize(self.one_predicate(mode, anchor=anchor))
+
+    @pytest.mark.parametrize("mode", ["head", "span"])
+    def test_two_predicates_at_one_anchor(self, mode):
+        corpus = self.one_predicate(mode)
+        corpus.sentences[0].predicates *= 2
+        serialize = serialize_conll09 if mode == "head" else serialize_conll05
+        with pytest.raises(ValueError, match="two predicates anchored at token 2"):
+            serialize(corpus)
+
+    @pytest.mark.parametrize("extent", [(0,), (5,)])
+    def test_head_argument_outside_the_sentence(self, extent):
+        with pytest.raises(ValueError, match="outside tokens 1..4"):
+            serialize_conll09(self.one_predicate("head", ("A0", extent)))
+
+    @pytest.mark.parametrize("extent", [(0,), (4, 5)])
+    def test_span_part_outside_the_sentence(self, extent):
+        with pytest.raises(ValueError, match="outside tokens 1..4"):
+            serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A0", extent)))
+
+    @pytest.mark.parametrize("parts", [(("A0", (2, 3)), ("A1", (3, 4))),
+                                       (("A0", (2, 3, 4)), ("A1", (3,)))],
+                             ids=["crossing", "nested"])
+    def test_span_parts_that_share_a_token(self, parts):
+        with pytest.raises(ValueError, match="overlapping"):
+            serialize_conll05(self.one_predicate("span", ("V", (1,)), *parts, anchor=1))
+
+    def test_first_verb_part_away_from_the_anchor(self):
+        with pytest.raises(ValueError, match="first V part starts at token 3, not at the anchor 2"):
+            serialize_conll05(self.one_predicate("span", ("V", (3,))))
+
     @pytest.mark.parametrize("seed", [3, 5, 6, 7, 9])
     def test_perturbed_head_corpus_round_trip(self, seed):
         # moved head tokens once collided on one token of one predicate
@@ -310,6 +446,28 @@ class TestSerialize:
                              max_tokens=30, max_preds=5, max_args=6)
         system = perturb_corpus(rng, gold)
         assert parse_conll09(serialize_conll09(system)) == system
+
+
+class TestLeadingByteOrderMark:
+    """Each parser drops one leading U+FEFF, which ``open(...).read()`` keeps;
+    it is not a line break, so line numbers stay the same."""
+
+    def test_conll09(self):
+        text = (DATA / "buy_gold.conll").read_text()
+        assert parse_conll09("\ufeff" + text) == parse_conll09(text)
+        assert parse_conll09("\ufeff# header\n" + text) == parse_conll09(text)
+        with pytest.raises(ColumnCountMismatch) as err:
+            parse_conll09("\ufeff" + row(1, "Hi") + "\n2\tthere\n")
+        assert err.value.line == 2
+
+    def test_conll05_and_sidecar(self):
+        words = (DATA / "lead.words").read_text()
+        props = (DATA / "lead_gold.props").read_text()
+        rows = "1\t7\tlead.01\n"
+        assert parse_sense_sidecar("\ufeff" + rows) == parse_sense_sidecar(rows)
+        expected = parse_conll05(words, props, senses=parse_sense_sidecar(rows))
+        for marked in (("\ufeff" + words, props), (words, "\ufeff" + props)):
+            assert parse_conll05(*marked, senses=parse_sense_sidecar(rows)) == expected
 
 
 class TestAlign:

@@ -99,8 +99,8 @@ def test_mutated_fixtures_exit_with_a_documented_code(mutant):
             Path(paths[role]).write_bytes(data)
         io_args, pair = ["--format", fmt], [paths["gold"], paths["system"]]
         if fmt == "conll05":
-            io_args += ["--words", paths["words"], "--senses", paths["senses"]]
-            pair[:0] = ["--senses-system", paths["senses"]]
+            io_args += ["--words", paths["words"]]
+            pair[:0] = ["--senses", paths["senses"], "--senses-system", paths["senses"]]
         runs = [["evaluate", *io_args, "--per-label", "--json", str(Path(tmp) / "r.json"), *pair],
                 ["compare", *io_args, *pair],
                 ["stats", *io_args, paths["gold"]],

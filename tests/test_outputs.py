@@ -7,12 +7,14 @@ sweep and rewrites the pins when a change is meant.
 
 import json
 
-from pin_outputs import PINS, sweep
+from pin_outputs import PINS, changes, sweep
 
 
 def test_sweep_matches_the_pinned_outputs():
-    pinned = json.loads(PINS.read_text())
-    digests = sweep()
-    assert sorted(digests) == sorted(pinned)
-    changed = [command for command, digest in digests.items() if pinned[command] != digest]
+    changed = changes(sweep(), json.loads(PINS.read_text()))
     assert not changed, "%d commands changed output, e.g. %s" % (len(changed), changed[:3])
+
+
+def test_changes_lists_each_added_removed_or_changed_command():
+    assert changes({"a": "1", "b": "2", "c": "3"}, {"b": "2", "c": "x", "d": "4"}) == [
+        "added: a", "changed: c", "removed: d"]

@@ -198,9 +198,9 @@ def test_words_props_count_mismatch_counts_without_parsing(words_n, props_n):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(text=st.text(alphabet="a #\t\n\r\x0b\x1c\x85\u2028", max_size=40),
-       chunk=st.integers(1, 8))
-def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk):
+       chunk=st.integers(1, 8), comments=st.booleans())
+def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk, comments):
     expected = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)
-                if not line.strip().startswith("#")]
+                if not (comments and line.strip().startswith("#"))]
     with mock.patch.object(conll, "_CHUNK", chunk):
-        assert list(conll._rows(text)) == expected
+        assert list(conll._rows(text, comments)) == expected
