@@ -26,21 +26,18 @@ The sweep:
 
 Run ``PYTHONPATH=src python tests/pin_outputs.py`` to rewrite
 tests/data/outputs.json; it first prints each command whose digest was
-added, removed or changed. With ``--check`` it prints the same list, writes
-nothing and exits 1 if the list is not empty. ``tests/test_outputs.py``
-recomputes and compares.
+added, removed or changed. ``tests/test_outputs.py`` recomputes and compares,
+and lists the same commands when it fails, without writing.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import shutil
-import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -196,15 +193,9 @@ def changes(digests: dict[str, str], pinned: dict[str, str]) -> list[str]:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Pin the CLI's output on the tests/data sweep.")
-    parser.add_argument("--check", action="store_true",
-                        help="list the changed commands, write nothing, exit 1 if any")
-    args = parser.parse_args()
     pins = sweep()
     changed = changes(pins, json.loads(PINS.read_text()) if PINS.exists() else {})
     for line in changed:
         print(line)
-    if args.check:
-        sys.exit(1 if changed else 0)
     PINS.write_text(json.dumps(pins, indent=1, sort_keys=True) + "\n")
     print("pinned %d commands in %s" % (len(pins), PINS))

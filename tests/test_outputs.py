@@ -12,7 +12,7 @@ from pin_outputs import PINS, changes, sweep
 
 def test_sweep_matches_the_pinned_outputs():
     changed = changes(sweep(), json.loads(PINS.read_text()))
-    assert not changed, "%d commands changed output, e.g. %s" % (len(changed), changed[:3])
+    assert not changed, "%d commands changed output:\n%s" % (len(changed), "\n".join(changed))
 
 
 def test_changes_lists_each_added_removed_or_changed_command():
