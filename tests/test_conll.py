@@ -167,6 +167,36 @@ class TestParseHead:
             parse_conll09(text)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("rows, error, message", [
+        # a bad label before a bad token id
+        ([row(1, "He", "Y", "go.01", ["_"]), row(2, "goes", apreds=["C-C-A0"]),
+          row(3, "to", apreds=["_"]), row(4, "the", apreds=["_"]), row("x", "shop", apreds=["_"])],
+         ParseError, "line 2: nested continuation prefix in 'C-C-A0'"),
+        # a bad label in the second column of row 1 before one in the first column of row 3
+        ([row(1, "He", "Y", "go.01", ["_", "R-R-A1"]), row(2, "goes", "Y", "go.02", ["_", "_"]),
+          row(3, "home", apreds=["C-C-A0", "_"])],
+         ParseError, "line 1: nested reference prefix in 'R-R-A1'"),
+        # a bad label anywhere comes before every sense warning
+        ([row(1, "He", apreds=["_"]), row(2, "goes", "Y", "goes", ["_"]),
+          row(3, "to", apreds=["_"]), row(4, "shop", apreds=["C-C-A0"])],
+         ParseError, "line 4: nested continuation prefix in 'C-C-A0'"),
+        # a row too short to hold the predicate columns is found before any label
+        ([row(1, "He", "Y", "go.01", ["_"]), row(2, "goes", apreds=["C-C-A0"]),
+          row(3, "to", apreds=["_"]), row(4, "the", apreds=["_"]), "5\tshop"],
+         ColumnCountMismatch, "line 5: expected at least 14 columns, found 2"),
+        # a wrong token id before a later row's extra column
+        ([row(1, "He", "Y", "go.01", ["_"]), row(3, "goes", apreds=["A0"]),
+          row(3, "home", apreds=["_", "_"])],
+         ParseError, "line 2: token ids not contiguous: expected 2, found 3"),
+    ])
+    def test_first_problem_in_file_order_within_a_sentence(self, rows, error, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error) as err:
+                parse_conll09("\n".join(rows) + "\n")
+        assert str(err.value) == message
+        assert [w for w in caught if issubclass(w.category, MalformedSenseWarning)] == []
+
 
 class TestParseSpan:
     WORDS = "This\nis\nfine\nfor\nnow\n"
