@@ -180,52 +180,82 @@ def _conll09_reader(text: str, path: str | None = None):
     heads: dict[tuple[str, int], RawArgument] = {}
     senses: dict[str, SenseLabel] = {}
 
-    def parse(block: list[tuple[int, str]]) -> Sentence:
-        rows = []
-        for lineno, line in block:
-            cols = line.split()
+    def first_problem(block: list[tuple[int, str]]) -> ParseError:
+        """The first problem, in file order, of a block that failed a whole-column
+        check: a row too short for the fixed columns, else, row by row, a row
+        with the wrong number of argument columns, a wrong token id or an
+        invalid label."""
+        rows = [(lineno, line.split()) for lineno, line in block]
+        for lineno, cols in rows:
             if len(cols) < FIRST_APRED_COL:
-                raise ColumnCountMismatch(
+                return ColumnCountMismatch(
                     "expected at least %d columns, found %d" % (FIRST_APRED_COL, len(cols)),
                     line=lineno, path=path)
-            rows.append((lineno, cols))
-        pred_rows = [i for i, (_, cols) in enumerate(rows) if cols[FILLPRED_COL] == "Y"]
-        n_preds = len(pred_rows)
-
-        tokens = []
-        arguments: list[list[RawArgument]] = [[] for _ in pred_rows]
-        for i, (lineno, cols) in enumerate(rows):
+        n_preds = sum(cols[FILLPRED_COL] == "Y" for _, cols in rows)
+        for i, (lineno, cols) in enumerate(rows, start=1):
             if len(cols) < FIRST_APRED_COL + n_preds:
-                raise ColumnCountMismatch(
+                return ColumnCountMismatch(
                     "expected %d columns for %d predicates, found %d"
                     % (FIRST_APRED_COL + n_preds, n_preds, len(cols)),
                     line=lineno, path=path)
             if len(cols) > FIRST_APRED_COL + n_preds:
-                raise DanglingApredColumn(
+                return DanglingApredColumn(
                     "row has %d argument columns but the sentence has %d predicate rows"
                     % (len(cols) - FIRST_APRED_COL, n_preds),
                     line=lineno, path=path)
             try:
                 index = int(cols[0])
             except ValueError:
-                raise ParseError("token id %r is not an integer" % cols[0], line=lineno, path=path)
-            if index != i + 1:
-                raise ParseError("token ids not contiguous: expected %d, found %d"
-                                 % (i + 1, index), line=lineno, path=path)
-            tokens.append(Token(index=index, form=cols[1]))
-            for args, cell in zip(arguments, cols[FIRST_APRED_COL:]):
-                if cell == "_":
-                    continue
+                return ParseError("token id %r is not an integer" % cols[0], line=lineno, path=path)
+            if index != i:
+                return ParseError("token ids not contiguous: expected %d, found %d"
+                                  % (i, index), line=lineno, path=path)
+            for cell in cols[FIRST_APRED_COL:]:
+                if cell != "_":
+                    try:
+                        _role(labels, cell, lineno, path)
+                    except ParseError as exc:
+                        return exc
+        raise AssertionError("block passes every row check")
+
+    def parse(block: list[tuple[int, str]]) -> Sentence:
+        rows = [line.split() for _, line in block]
+        n = len(rows)
+        widths = set(map(len, rows))
+        if min(widths) < FIRST_APRED_COL:
+            raise first_problem(block)
+        columns = list(zip(*rows))
+        anchors = list(itertools.compress(range(1, n + 1), map("Y".__eq__, columns[FILLPRED_COL])))
+        if widths != {FIRST_APRED_COL + len(anchors)}:
+            raise first_problem(block)
+        try:
+            numbered = list(map(int, columns[0])) == list(range(1, n + 1))
+        except ValueError:
+            numbered = False
+        if not numbered:
+            raise first_problem(block)
+
+        # every argument column, before any sense warning
+        arguments = []
+        for column in columns[FIRST_APRED_COL:]:
+            args = []
+            for index, cell in itertools.compress(enumerate(column, start=1),
+                                                  map("_".__ne__, column)):
                 arg = heads.get((cell, index))
                 if arg is None:
-                    arg = heads[cell, index] = RawArgument(
-                        label=_role(labels, cell, lineno, path), extent=(index,))
+                    label = labels.get(cell)
+                    if label is None:
+                        try:
+                            label = labels[cell] = RoleLabel.parse(cell)
+                        except LabelError:
+                            raise first_problem(block) from None
+                    arg = heads[cell, index] = RawArgument(label, (index,))
                 args.append(arg)
+            arguments.append(tuple(args))
 
         predicates = []
-        for i, args in zip(pred_rows, arguments):
-            lineno, cols = rows[i]
-            cell = cols[PRED_COL]
+        for anchor, args in zip(anchors, arguments):
+            cell = columns[PRED_COL][anchor - 1]
             sense = senses.get(cell)
             if sense is None and cell != "_":
                 try:
@@ -234,10 +264,11 @@ def _conll09_reader(text: str, path: str | None = None):
                     # not cached, so every occurrence warns with its own line
                     warnings.warn(str(ParseError("predicate sense cell %r is not lemma.sense; "
                                                  "recorded as sense-missing" % cell,
-                                                 line=lineno, path=path)), MalformedSenseWarning)
-            predicates.append(PredicateInstance(anchor=i + 1, sense=sense,
-                                                arguments=tuple(args)))
-        return Sentence(tokens=tokens, predicates=predicates)
+                                                 line=block[anchor - 1][0], path=path)),
+                                  MalformedSenseWarning)
+            predicates.append(PredicateInstance(anchor=anchor, sense=sense, arguments=args))
+        return Sentence(tokens=list(map(Token, range(1, n + 1), columns[1])),
+                        predicates=predicates)
 
     return _blocks(text, comments=True), parse
 
@@ -247,7 +278,8 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
     return Corpus(sentences=list(map(parse, blocks)), mode="head")
 
 
-_PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
+_SPAN_LABEL = re.compile(r"[^\s()*]+")
+_PROPS_CELL = re.compile(r"^(?:\((%s))?\*(\))?$" % _SPAN_LABEL.pattern)
 
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
@@ -338,7 +370,7 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
                     parts.append(part)
                     open_label = None
             if open_label is not None:
-                raise UnbalancedBracket("span %s never closed" % open_label,
+                raise UnbalancedBracket("span %s never closed" % (open_label,),
                                         line=rows[open_start][0], path=path)
 
             anchor = next((p.extent[0] for p in parts if p.label.base == VERB_BASE), None)
@@ -397,11 +429,37 @@ def _in_anchor_order(sentence: Sentence) -> list[PredicateInstance]:
     return predicates
 
 
+def _cell(text: str, what: str) -> str:
+    """``text`` as one whitespace-separated column; ValueError when it is empty or
+    holds whitespace."""
+    if text.split() != [text]:
+        raise ValueError("%s %r is empty or contains whitespace" % (what, text))
+    return text
+
+
+def _role_cell(label: RoleLabel, span: bool) -> str:
+    """``str(label)``; ValueError unless it is one cell of the format, with no
+    whitespace and, in conll09, not the empty APRED cell ``_`` or, in conll05,
+    no bracket or ``*``, and it parses back to ``label``."""
+    text = str(label)
+    fits = _SPAN_LABEL.fullmatch(text) if span else text.split() == [text] and text != "_"
+    if not fits or RoleLabel.parse(text) != label:
+        raise ValueError("role label %r does not read back as itself" % (text,))
+    return text
+
+
+def _has_tokens(n: int, sentence: Sentence) -> None:
+    # an empty sentence would be written as a blank line, that is, as no sentence
+    if not sentence.tokens:
+        raise ValueError("sentence %d has no tokens" % n)
+
+
 def serialize_conll09(corpus: Corpus) -> str:
     if corpus.mode != "head":
         raise ModeMismatch("CoNLL-2009 output requires a head-mode corpus")
     out = []
-    for sentence in corpus.sentences:
+    for n, sentence in enumerate(corpus.sentences, start=1):
+        _has_tokens(n, sentence)
         predicates = _in_anchor_order(sentence)
         apred = [["_"] * len(sentence.tokens) for _ in predicates]
         for k, pred in enumerate(predicates):
@@ -412,13 +470,14 @@ def serialize_conll09(corpus: Corpus) -> str:
                 i = arg.extent[0] - 1
                 if apred[k][i] != "_":
                     raise ValueError("two labels on one token for one predicate")
-                apred[k][i] = str(arg.label)
+                apred[k][i] = _role_cell(arg.label, span=False)
         pred_by_anchor = {p.anchor: p for p in predicates}
         for token in sentence.tokens:
             pred = pred_by_anchor.get(token.index)
             fillpred = "Y" if pred is not None else "_"
-            sense = str(pred.sense) if pred is not None and pred.sense is not None else "_"
-            cols = ([str(token.index), token.form] + ["_"] * 10 + [fillpred, sense]
+            sense = (_cell(str(pred.sense), "sense") if pred is not None and pred.sense is not None
+                     else "_")
+            cols = ([str(token.index), _cell(token.form, "form")] + ["_"] * 10 + [fillpred, sense]
                     + [column[token.index - 1] for column in apred])
             out.append("\t".join(cols))
         out.append("")
@@ -430,7 +489,8 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
         raise ModeMismatch("CoNLL-2005 output requires a span-mode corpus")
     words_out = []
     props_out = []
-    for sentence in corpus.sentences:
+    for n, sentence in enumerate(corpus.sentences, start=1):
+        _has_tokens(n, sentence)
         n_tokens = len(sentence.tokens)
         col0 = ["-"] * n_tokens
         columns = []
@@ -456,14 +516,20 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
                 if part.extent[0] <= end:
                     raise ValueError("overlapping span parts in one predicate column")
                 end = part.extent[-1]
-                opens[part.extent[0] - 1] = "(" + str(part.label)
+                opens[part.extent[0] - 1] = "(" + _role_cell(part.label, span=True)
                 closes[end - 1] = ")"
             columns.append([opens[i] + "*" + closes[i] for i in range(n_tokens)])
             lemma = pred.sense.lemma if pred.sense is not None else \
                 sentence.tokens[pred.anchor - 1].form
-            col0[pred.anchor - 1] = lemma
+            col0[pred.anchor - 1] = _cell(lemma, "lemma")
         for i, token in enumerate(sentence.tokens):
-            words_out.append(token.form)
+            form = token.form
+            # a words line is read stripped, and the text's first character
+            # is dropped when it is a byte order mark
+            if (form.strip() != form or form.splitlines() != [form]
+                    or (not words_out and form.startswith("\ufeff"))):
+                raise ValueError("form %r does not read back as one words line" % (form,))
+            words_out.append(form)
             props_out.append("\t".join([col0[i]] + [col[i] for col in columns]))
         words_out.append("")
         props_out.append("")

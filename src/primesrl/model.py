@@ -20,23 +20,30 @@ class LabelError(ValueError):
     """A role or sense label string that cannot be parsed."""
 
 
-@dataclass(frozen=True)
-class SenseLabel:
+class _SenseFields(NamedTuple):
+    lemma: str
+    sense_id: str
+
+
+class SenseLabel(_SenseFields):
     """A predicate sense as a (lemma, sense number) pair, e.g. buy.01.
 
     The sense number is zero-padded to two digits on construction so that
     "buy.1" and "buy.01" compare equal.
     """
 
-    lemma: str
-    sense_id: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lemma:
+    def __new__(cls, lemma: str, sense_id: str):
+        if not lemma:
             raise LabelError("empty lemma in sense label")
-        if not self.sense_id or not self.sense_id.isdigit():
-            raise LabelError("sense number must be a digit string, got %r" % (self.sense_id,))
-        object.__setattr__(self, "sense_id", self.sense_id.zfill(2))
+        if not sense_id or not sense_id.isdigit():
+            raise LabelError("sense number must be a digit string, got %r" % (sense_id,))
+        return tuple.__new__(cls, (lemma, sense_id.zfill(2)))
+
+    @classmethod
+    def _make(cls, iterable) -> "SenseLabel":
+        return cls(*iterable)  # so that _replace checks as well
 
     @classmethod
     def parse(cls, text: str) -> "SenseLabel":
@@ -61,8 +68,7 @@ def _canonical_base(text: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class RoleLabel:
+class RoleLabel(NamedTuple):
     """A normalized argument label: base role plus optional C-/R- prefixes."""
 
     base: str
@@ -111,7 +117,7 @@ def label_sort_key(label: str):
     return (family, parsed.base, parsed.is_reference, parsed.is_continuation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     index: int  # 1-based position in the sentence
     form: str
@@ -121,37 +127,45 @@ class Token:
             raise ValueError("token index must be >= 1")
 
 
-@dataclass(frozen=True)
-class RawArgument:
+class _RawArgumentFields(NamedTuple):
+    label: RoleLabel
+    extent: tuple[int, ...]
+
+
+class RawArgument(_RawArgumentFields):
     """One labeled part: a single head token or one contiguous span run.
 
     The extent is checked on construction to be sorted and duplicate-free,
     so it can serve as a scoring unit's token tuple as it is.
     """
 
-    label: RoleLabel
-    extent: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.extent:
+    def __new__(cls, label: RoleLabel, extent: tuple[int, ...]):
+        if not extent:
             raise ValueError("argument extent is empty")
-        if list(self.extent) != sorted(set(self.extent)):
+        if list(extent) != sorted(set(extent)):
             raise ValueError("argument extent must be sorted and duplicate-free")
+        return tuple.__new__(cls, (label, extent))
+
+    @classmethod
+    def _make(cls, iterable) -> "RawArgument":
+        return cls(*iterable)  # so that _replace checks as well
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredicateInstance:
     anchor: int
     sense: SenseLabel | None
     arguments: tuple[RawArgument, ...]
 
     def __post_init__(self):
-        seen = set()
-        for arg in self.arguments:
-            key = (arg.label, arg.extent)
-            if key in seen:
-                raise ValueError("duplicate argument %s at %s" % (arg.label, arg.extent))
-            seen.add(key)
+        if len(set(self.arguments)) < len(self.arguments):
+            seen = set()
+            for arg in self.arguments:
+                if arg in seen:
+                    raise ValueError("duplicate argument %s at %s" % (arg.label, arg.extent))
+                seen.add(arg)
 
 
 class MergedArgument(NamedTuple):

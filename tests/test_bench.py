@@ -1,8 +1,10 @@
-"""Every benchmark workload, run once on the benchmark's 40-sentence smoke corpus.
+"""Every benchmark workload, run once on the benchmark's 40-sentence smoke corpus,
+untraced and traced.
 
 Each command must pass the benchmark's own oracle checks and reproduce the
-output fingerprint pinned for it in ``bench/fingerprints.json``, so a change
-that would make ``bench/run.py`` count a wrong outcome fails here first.
+output fingerprint pinned for it in ``bench/fingerprints.json``, and a traced
+command's span self times must add up to its traced ``cli.main`` time, so a
+change that would make ``bench/run.py`` count a wrong outcome fails here first.
 """
 
 import importlib.util
@@ -27,16 +29,28 @@ def bench():
     return _load("bench_run", BENCH / "run.py"), _load("bench_corpus", BENCH / "corpus.py")
 
 
-def test_every_workload_matches_its_pin(bench):
+def _wrong(bench, mode: str) -> dict[str, list[str]]:
+    """What is wrong with each workload's command, run once in ``mode``."""
     run, corpus = bench
     corpus_dir, meta = corpus.ensure(run.CACHE, 1, 40)
     pins = run._load_fingerprints()[meta["input_sha256"]]
     found = {}
     for workload in run.WORKLOADS:
-        out = run.run_child("run", run.command(workload, corpus_dir), corpus_dir)
+        out = run.run_child(mode, run.command(workload, corpus_dir), corpus_dir)
         wrong = run.problems(workload, meta, out)
         if not wrong and out.digest() != pins[workload]["sha256"]:
             wrong = ["output differs from the pin; scores now %s" % (run.scores(workload, out),)]
+        if mode == "trace" and not wrong and not run._accounted(out.timings["layers"]):
+            wrong = ["span self times do not add up to the traced cli.main time"]
         if wrong:
             found[workload] = wrong
-    assert found == {}
+    return found
+
+
+def test_every_workload_matches_its_pin(bench):
+    assert _wrong(bench, "run") == {}
+
+
+def test_every_traced_workload_matches_its_pin_and_accounts_for_its_time(bench):
+    # the tracer rebinds package functions and label parsers by name
+    assert _wrong(bench, "trace") == {}

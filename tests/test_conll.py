@@ -41,27 +41,42 @@ def row(index, form, fillpred="_", pred="_", apreds=()):
     return "\t".join([str(index), form] + ["_"] * 10 + [fillpred, pred] + list(apreds))
 
 
+# Cell texts that read back only in some places or not at all: empty, with
+# whitespace or line breaks (some only to str.split), "_", brackets, a byte
+# order mark, and some plain characters.
+AWKWARD = st.text(alphabet=" \t\n\x0b\x1c\x85\u2028\ufeff_()*#Aw", max_size=3)
+AWKWARD_FORMS = AWKWARD | st.sampled_from(["\ufeffw", "w w", "#"])
+# also role label bases whose text parses to another label
+AWKWARD_LABELS = st.sampled_from(["_", "C-A1", "ARG0", "TMP", "A(0", "A*"]) | AWKWARD
+
+
 @st.composite
 def loose_sentences(draw, mode: str) -> Sentence:
     """A sentence of 1-5 tokens whose predicates have arbitrary anchors and
     arbitrary sorted, duplicate-free extents: inside the sentence and one token
     long in head mode, or, when ``loose`` is drawn, also longer, just outside
-    the sentence, and with anchors that repeat."""
-    n = draw(st.integers(1, 5))
-    loose = draw(st.booleans())
-    tokens = st.integers(-1, n + 1) if loose else st.integers(1, n)
+    the sentence, and with anchors that repeat. Or else one ``awkward`` kind is
+    drawn: no tokens, or AWKWARD forms, sense lemmas or role labels."""
+    awkward = draw(st.sampled_from([None, "empty", "forms", "senses", "labels", "labels"]))
+    n = 0 if awkward == "empty" else draw(st.integers(1, 5))
+    loose = awkward is None and draw(st.booleans())
+    tokens = st.integers(-1, n + 1) if loose or n == 0 else st.integers(1, n)
     width = draw(st.integers(1, 3)) if loose or mode == "span" else 1
     extents = st.sets(tokens, min_size=1, max_size=width).map(
         lambda extent: tuple(sorted(extent)))
     # V twice, so that V parts away from the anchor come up often
-    labels = st.sampled_from(["V", "A0", "A1", "C-A1", "R-A0", "AM-TMP", "V"])
-    arguments = st.lists(st.tuples(labels, extents), max_size=4, unique=True)
+    labels = st.sampled_from(["V", "A0", "A1", "C-A1", "R-A0", "AM-TMP", "V"]).map(RoleLabel.parse)
+    if awkward == "labels":
+        labels = st.builds(RoleLabel, AWKWARD_LABELS)
     senses = st.sampled_from([None, SenseLabel("be", "01"), SenseLabel("go", "02")])
+    if awkward == "senses":
+        senses = st.builds(SenseLabel, AWKWARD.filter(bool), st.just("01"))
+    forms = AWKWARD_FORMS if awkward == "forms" else st.nothing()
+    arguments = st.lists(st.tuples(labels, extents), max_size=4, unique=True)
     predicates = draw(st.lists(st.tuples(tokens, senses, arguments), max_size=3,
                                unique_by=None if loose else (lambda p: p[0])))
-    return Sentence([Token(i, "w%d" % i) for i in range(1, n + 1)],
-                    [PredicateInstance(anchor, sense, tuple(RawArgument(RoleLabel.parse(label),
-                                                                        extent)
+    return Sentence([Token(i, draw(forms | st.just("w%d" % i))) for i in range(1, n + 1)],
+                    [PredicateInstance(anchor, sense, tuple(RawArgument(label, extent)
                                                             for label, extent in args))
                      for anchor, sense, args in predicates])
 
@@ -467,6 +482,50 @@ class TestSerialize:
     def test_first_verb_part_away_from_the_anchor(self):
         with pytest.raises(ValueError, match="first V part starts at token 3, not at the anchor 2"):
             serialize_conll05(self.one_predicate("span", ("V", (3,))))
+
+    @pytest.mark.parametrize("mode, form, lemma, label", [
+        ("head", "", "be", "A0"),
+        ("head", "New York", "be", "A0"),
+        ("head", "a\x1cb", "be", "A0"),  # a separator to str.split
+        ("head", "w", "a b", "A0"),
+        ("head", "w", "be", "_"),  # the empty APRED cell
+        ("head", "w", "be", "A 0"),
+        ("head", "w", "be", ""),
+        ("head", "w", "be", "ARG0"),  # reads back as A0
+        ("span", "", "be", "A0"),
+        ("span", " lead", "be", "A0"),
+        ("span", "lead\t", "be", "A0"),
+        ("span", "a\u2028b", "be", "A0"),
+        ("span", "w", "a b", "A0"),
+        ("span", "w", "be", "A(0"),
+        ("span", "w", "be", "A*"),
+        ("span", "w", "be", "C-A0"),  # reads back with a C- prefix
+    ])
+    def test_cell_that_does_not_read_back(self, mode, form, lemma, label):
+        sentence = Sentence([Token(1, "w1"), Token(2, form)],
+                            [PredicateInstance(1, SenseLabel(lemma, "01"),
+                                               (RawArgument(RoleLabel(label), (2,)),))])
+        serialize = serialize_conll09 if mode == "head" else serialize_conll05
+        with pytest.raises(ValueError, match="empty or contains whitespace|does not read back"):
+            serialize(Corpus([sentence], mode))
+
+    @pytest.mark.parametrize("mode", ["head", "span"])
+    def test_sentence_without_tokens(self, mode):
+        corpus = self.one_predicate(mode)
+        corpus.sentences.insert(0, Sentence([], []))
+        serialize = serialize_conll09 if mode == "head" else serialize_conll05
+        with pytest.raises(ValueError, match="sentence 1 has no tokens"):
+            serialize(corpus)
+
+    def test_byte_order_mark_that_would_start_a_words_file(self):
+        # a parser drops one mark at the start of its text, and a words file
+        # starts with a form
+        first = Sentence([Token(1, "\ufeffw")], [])
+        assert parse_conll09(serialize_conll09(Corpus([first], "head"))).sentences == [first]
+        with pytest.raises(ValueError, match="one words line"):
+            serialize_conll05(Corpus([first], "span"))
+        later = Sentence([Token(1, "w"), Token(2, "\ufeffw")], [])
+        assert parse_conll05(*serialize_conll05(Corpus([later], "span"))).sentences == [later]
 
     @pytest.mark.parametrize("seed", [3, 5, 6, 7, 9])
     def test_perturbed_head_corpus_round_trip(self, seed):

@@ -131,3 +131,61 @@ class TestStructures:
                     assert unit.tokens and list(unit.tokens) == sorted(set(unit.tokens))
         unit = MergedArgument(base_label=RoleLabel("A0", False, True), tokens=(1, 2))
         assert unit.is_reference
+
+
+class TestRecordSemantics:
+    """Labels, senses and arguments are named tuples with the dataclass text they had."""
+
+    def test_str_and_repr(self):
+        label = RoleLabel("A0", True, True)
+        assert str(label) == "R-C-A0"
+        assert repr(label) == "RoleLabel(base='A0', is_continuation=True, is_reference=True)"
+        sense = SenseLabel("buy", "1")
+        assert str(sense) == "buy.01"
+        assert repr(sense) == "SenseLabel(lemma='buy', sense_id='01')"
+        arg = RawArgument(RoleLabel("A1"), (2, 3))
+        assert str(arg) == repr(arg) == (
+            "RawArgument(label=RoleLabel(base='A1', is_continuation=False, is_reference=False), "
+            "extent=(2, 3))")
+
+    def test_keyword_and_positional_construction_both_validate(self):
+        assert SenseLabel("buy", "1").sense_id == "01"
+        assert SenseLabel(lemma="buy", sense_id="1") == SenseLabel("buy", "01")
+        for args, kwargs in [(("", "01"), {}), ((), {"lemma": "", "sense_id": "01"}),
+                             (("buy", "x"), {}), ((), {"lemma": "buy", "sense_id": "x"})]:
+            with pytest.raises(LabelError):
+                SenseLabel(*args, **kwargs)
+        assert RawArgument(label=RoleLabel("A0"), extent=(1, 2)) == RawArgument(RoleLabel("A0"),
+                                                                                (1, 2))
+        for args, kwargs in [((RoleLabel("A0"), (2, 1)), {}),
+                             ((), {"label": RoleLabel("A0"), "extent": (2, 1)}),
+                             ((RoleLabel("A0"),), {"extent": ()})]:
+            with pytest.raises(ValueError):
+                RawArgument(*args, **kwargs)
+        assert SenseLabel("buy", "01")._replace(sense_id="2") == SenseLabel("buy", "02")
+        with pytest.raises(LabelError):
+            SenseLabel("buy", "01")._replace(lemma="")
+        with pytest.raises(ValueError):
+            RawArgument._make([RoleLabel("A0"), ()])
+
+    def test_equal_records_hash_equal(self):
+        pairs = [(RoleLabel.parse("ARG0"), RoleLabel(base="A0")),
+                 (SenseLabel.parse("buy.1"), SenseLabel("buy", "01")),
+                 (RawArgument(RoleLabel.parse("C-A1"), (4,)),
+                  RawArgument(RoleLabel("A1", True), (4,)))]
+        for a, b in pairs:
+            assert a == b and hash(a) == hash(b)
+        assert RoleLabel("A0") != RoleLabel("A0", is_reference=True)
+
+    def test_records_equal_and_sort_like_tuples_of_their_fields(self):
+        assert SenseLabel("buy", "01") == ("buy", "01")
+        assert RawArgument(RoleLabel("A0"), (3,)) == (("A0", False, False), (3,))
+        assert sorted([RoleLabel("A1"), RoleLabel("A0", True), RoleLabel("A0")]) == [
+            RoleLabel("A0"), RoleLabel("A0", True), RoleLabel("A1")]
+
+    def test_duplicate_argument_message(self):
+        arg = RawArgument(RoleLabel("A0"), (3,))
+        other = RawArgument(RoleLabel("A1"), (3,))
+        with pytest.raises(ValueError) as err:
+            PredicateInstance(anchor=1, sense=None, arguments=(other, arg, arg))
+        assert str(err.value) == "duplicate argument A0 at (3,)"
