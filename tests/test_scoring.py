@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 from collections import defaultdict
@@ -24,12 +25,13 @@ from primesrl import (
     score_predicates_primesrl,
     serialize_conll05,
 )
-from primesrl.conll import TokenMismatch
+from primesrl.conll import TokenMismatch, _corpus_pairs
 from primesrl.model import PredicateInstance, RawArgument
 from primesrl.scoring import (
     CORRECT,
     EmptyCorpus,
     GOLD,
+    METRICS,
     MissingGoldSense,
     PREDICTED,
     _lemma_and_sense,
@@ -38,6 +40,7 @@ from primesrl.scoring import (
     _sense_filter,
     _strict_units,
     chain_spans,
+    score_pairs,
     score_predicates_trivial,
 )
 
@@ -422,3 +425,46 @@ class TestFilterChain:
         gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
                              max_args=5, with_sense=with_sense)
         self.check(gold, perturb_corpus(rng, gold))
+
+
+class TestAgreeingPairs:
+    """A pair whose system arguments equal gold's scores as the one-to-one
+    match of its two unit lists does: reordering every system predicate's
+    arguments keeps their multiset, so it makes those pairs take the matching
+    path instead, and must leave every report unchanged."""
+
+    @staticmethod
+    def reordered(corpus: Corpus) -> Corpus:
+        return Corpus([Sentence(s.tokens, [dataclasses.replace(p, arguments=p.arguments[::-1])
+                                           for p in s.predicates])
+                       for s in corpus.sentences], mode=corpus.mode)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans())
+    def test_agreeing_pairs_score_as_the_matched_ones(self, seed, mode, with_sense):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense)
+        system = perturb_corpus(rng, gold)
+        reordered = self.reordered(system)
+        # reordering changes the arguments tuple of every agreeing pair with two or more
+        assert any(gp.arguments == sp.arguments and len(gp.arguments) > 1
+                   for sentence in align(gold, system).sentences for gp, sp in sentence.pairs)
+        # each row alone, and the two metrics of compare in one pass
+        for metrics in [(metric,) for metric in METRICS] + [("primesrl", "legacy_" + mode)]:
+            assert (score_pairs(_corpus_pairs(gold, system), metrics, mode)
+                    == score_pairs(_corpus_pairs(gold, reordered), metrics, mode))
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]))
+    def test_unit_builders_read_only_the_arguments(self, seed, mode):
+        gold = random_corpus(random.Random(seed), n_sentences=4, mode=mode, max_tokens=20,
+                             max_preds=4, max_args=5, with_sense=True)
+        for sentence in gold.sentences:
+            for pred in sentence.predicates:
+                for anchor, sense in ((pred.anchor + 1, None),
+                                      (1, SenseLabel.parse("other.09"))):
+                    other = dataclasses.replace(pred, anchor=anchor, sense=sense)
+                    for units, _, _ in METRICS.values():
+                        assert units(other) == units(pred)
