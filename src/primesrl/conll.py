@@ -115,27 +115,27 @@ def _chunks(text: str):
         start = end
 
 
-def _rows(text: str, comments: bool = False):
-    """(line_number, stripped_line) for every line of ``text``; with ``comments``,
-    lines that start with ``#`` are skipped.
+def _rows(text: str):
+    """(line_number, stripped_line) for every line of ``text``.
 
     Lines and their numbers are those of ``text.splitlines()``. A blank line
     yields an empty string, which ends a sentence block.
     """
     lines = itertools.chain.from_iterable(map(str.splitlines, _chunks(text)))
-    rows = enumerate(map(str.strip, lines), start=1)
-    return (row for row in rows if not row[1].startswith("#")) if comments else rows
+    return enumerate(map(str.strip, lines), start=1)
 
 
 def _blocks(text: str, comments: bool = False):
-    """Yield [(line_number, stripped_line), ...] per sentence."""
+    """Yield [(line_number, stripped_line), ...] per sentence; with ``comments``,
+    lines that start with ``#`` are skipped and do not end a sentence."""
     block: list[tuple[int, str]] = []
-    for row in _rows(text, comments):
-        if row[1]:
+    for row in _rows(text):
+        if not row[1]:
+            if block:
+                yield block
+                block = []
+        elif not (comments and row[1][0] == "#"):
             block.append(row)
-        elif block:
-            yield block
-            block = []
     if block:
         yield block
 
@@ -286,8 +286,8 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
     senses: dict[tuple[int, int], SenseLabel] = {}
     labels: dict[str, SenseLabel] = {}
-    for lineno, line in _rows(text, comments=True):
-        if not line:
+    for lineno, line in _rows(text):
+        if not line or line[0] == "#":
             continue
         parts = line.split()
         if len(parts) != 3:

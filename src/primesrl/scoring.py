@@ -157,16 +157,22 @@ def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: lis
         credited = rule is None or gp.sense is None or (sp.sense is not None and rule(gp, sp))
         predicates[CORRECT] += credited
         gold_units = units(gp)
-        sys_units = units(sp)
         add(gold_units, GOLD)
-        add(sys_units, PREDICTED)
-        # one-to-one multiset match; exact-key equality makes the greedy pass maximal
-        available = Counter(unit[1] for unit in gold_units)
-        matched = []
-        for unit in sys_units:
-            if available[unit[1]] > 0:
-                available[unit[1]] -= 1
-                matched.append(unit)
+        if gp.arguments == sp.arguments:
+            # every unit builder reads only the arguments: the system units are
+            # the gold units, and their one-to-one match is all of them
+            add(gold_units, PREDICTED)
+            matched = gold_units
+        else:
+            sys_units = units(sp)
+            add(sys_units, PREDICTED)
+            # one-to-one multiset match; exact-key equality makes the greedy pass maximal
+            available = Counter(unit[1] for unit in gold_units)
+            matched = []
+            for unit in sys_units:
+                if available[unit[1]] > 0:
+                    available[unit[1]] -= 1
+                    matched.append(unit)
         for keep in filters:
             matched = keep(matched, credited)
         add(matched, CORRECT)

@@ -5,6 +5,7 @@ Each command must pass the benchmark's own oracle checks and reproduce the
 output fingerprint pinned for it in ``bench/fingerprints.json``, and a traced
 command's span self times must add up to its traced ``cli.main`` time, so a
 change that would make ``bench/run.py`` count a wrong outcome fails here first.
+The traced strict pass must also build units once per agreeing predicate pair.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from primesrl import align, parse_conll05, parse_conll09, parse_sense_sidecar
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -54,3 +57,32 @@ def test_every_workload_matches_its_pin(bench):
 def test_every_traced_workload_matches_its_pin_and_accounts_for_its_time(bench):
     # the tracer rebinds package functions and label parsers by name
     assert _wrong(bench, "trace") == {}
+
+
+def _strict_builds(corpus_dir: Path, workload: str) -> int:
+    """Unit builds of one strict pass over a workload's files, from library
+    ``align``: one per missed or spurious predicate, two per pair whose
+    arguments differ and one per pair whose arguments agree."""
+    def read(name: str) -> str:
+        return (corpus_dir / name).read_text(encoding="utf-8")
+    if workload == "span-compare":
+        gold, system = (parse_conll05(read("words"), read(side + ".props"),
+                                      senses=parse_sense_sidecar(read(side + ".senses")))
+                        for side in ("gold", "sys"))
+    else:
+        gold, system = parse_conll09(read("gold.conll")), parse_conll09(read("sys.conll"))
+    builds = 0
+    for sentence in align(gold, system).sentences:
+        builds += len(sentence.missed) + len(sentence.spurious)
+        builds += sum(1 if gp.arguments == sp.arguments else 2 for gp, sp in sentence.pairs)
+    return builds
+
+
+@pytest.mark.parametrize("workload", ["head-evaluate", "span-compare"])
+def test_an_agreeing_pair_builds_its_strict_units_once(bench, workload):
+    # merge_continuations builds the strict units; compare's legacy row does not call it
+    run, corpus = bench
+    corpus_dir, _ = corpus.ensure(run.CACHE, 1, 40)
+    out = run.run_child("trace", run.command(workload, corpus_dir), corpus_dir)
+    assert out.exit == 0
+    assert out.timings["layers"]["normalize.merge_calls"] == _strict_builds(corpus_dir, workload)

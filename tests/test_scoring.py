@@ -1,6 +1,10 @@
 import dataclasses
+import os
 import random
 import re
+import subprocess
+import sys
+import warnings
 from collections import defaultdict
 
 import pytest
@@ -25,6 +29,7 @@ from primesrl import (
     score_predicates_primesrl,
     serialize_conll05,
 )
+from primesrl import normalize
 from primesrl.conll import TokenMismatch, _corpus_pairs
 from primesrl.model import PredicateInstance, RawArgument
 from primesrl.scoring import (
@@ -254,13 +259,47 @@ class TestReferenceArguments:
 
 
 class TestUnknownRole:
+    TEXT = (DATA / "buy_gold.conll").read_text().replace("\tA0\n", "\tXYZ\n")
+    # agreeing pairs, with and without the sense, and a pair without the A1
+    SYSTEMS = {"agreeing": TEXT, "sense-flipped": TEXT.replace("buy.01", "buy.05"),
+               "disagreeing": TEXT.replace("\tA1\n", "\t_\n")}
+
     @pytest.mark.parametrize("system_sense", ["buy.01", "buy.05"])
     def test_gold_warns_whatever_the_system_sense(self, system_sense):
-        text = (DATA / "buy_gold.conll").read_text().replace("\tA0\n", "\tXYZ\n")
-        gold = parse_conll09(text)
-        system = parse_conll09(text.replace("buy.01", system_sense))
+        gold = parse_conll09(self.TEXT)
+        system = parse_conll09(self.TEXT.replace("buy.01", system_sense))
         with pytest.warns(UserWarning, match="XYZ"):
             evaluate(gold, system, "primesrl")
+
+    @classmethod
+    def caught(cls, system: str) -> list:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate(parse_conll09(cls.TEXT), parse_conll09(cls.SYSTEMS[system]), "primesrl")
+        return caught
+
+    @pytest.mark.parametrize("system, built", [("agreeing", 1), ("sense-flipped", 1),
+                                               ("disagreeing", 2)])
+    def test_every_unit_built_warns(self, system, built):
+        # an agreeing pair builds its units once, from gold; others once per side
+        assert ([str(w.message) for w in self.caught(system)]
+                == ["treating unknown role base 'XYZ' as a modifier"] * built)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_the_cli_prints_the_warning_once(self, system, tmp_path):
+        # under the default filter one warning per message and place, whichever path ran
+        (tmp_path / "gold.conll").write_text(self.TEXT)
+        (tmp_path / "system.conll").write_text(self.SYSTEMS[system])
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(normalize.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from primesrl import cli; sys.exit(cli.main())",
+             "evaluate", "gold.conll", "system.conll"],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        first = self.caught(system)[0]
+        assert proc.returncode == 0
+        assert proc.stderr == warnings.formatwarning(first.message, first.category,
+                                                     first.filename, first.lineno)
 
 
 class TestChainSpans:

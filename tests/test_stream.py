@@ -9,6 +9,7 @@ parse, then system parse, then alignment) decides the exit code.
 
 import contextlib
 import io
+import itertools
 import random
 import tempfile
 import warnings
@@ -200,7 +201,11 @@ def test_words_props_count_mismatch_counts_without_parsing(words_n, props_n):
 @given(text=st.text(alphabet="a #\t\n\r\x0b\x1c\x85\u2028", max_size=40),
        chunk=st.integers(1, 8), comments=st.booleans())
 def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk, comments):
-    expected = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)
-                if not (comments and line.strip().startswith("#"))]
+    rows = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)]
+    # with comments, a line that starts with # is dropped and does not end a block
+    kept = [row for row in rows if not (comments and row[1].startswith("#"))]
+    blocks = [list(group) for nonblank, group in itertools.groupby(kept, lambda row: bool(row[1]))
+              if nonblank]
     with mock.patch.object(conll, "_CHUNK", chunk):
-        assert list(conll._rows(text, comments)) == expected
+        assert list(conll._rows(text)) == rows
+        assert list(conll._blocks(text, comments)) == blocks
