@@ -130,12 +130,12 @@ def _blocks(text: str, comments: bool = False):
     lines that start with ``#`` are skipped and do not end a sentence."""
     block: list[tuple[int, str]] = []
     for row in _rows(text):
-        if not row[1]:
-            if block:
-                yield block
-                block = []
-        elif not (comments and row[1][0] == "#"):
-            block.append(row)
+        if row[1]:
+            if not (comments and row[1][0] == "#"):
+                block.append(row)
+        elif block:
+            yield block
+            block = []
     if block:
         yield block
 
