@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -18,7 +21,7 @@ from .conll import (
     _conll09_reader,
     _count_mismatch,
     _pair_blocks,
-    parse_sense_sidecar,
+    _sense_sidecar,
 )
 from .model import EvalCounts, ScoreReport
 from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, score_pairs
@@ -41,37 +44,94 @@ def _bold(text: str) -> str:
     return "\033[1m%s\033[0m" % text
 
 
-def _read(path: str) -> str:
+_CHUNK = 1 << 16  # bytes read from an input at a time
+
+
+def _pieces(handle):
+    """The bytes of the binary file ``handle`` from its position, in pieces of
+    about ``_CHUNK`` bytes that each end just after a newline or at the end of
+    the file. A newline byte is never part of a longer UTF-8 sequence, so each
+    piece decodes on its own, and a ``\r\n`` is never split."""
+    parts = []
+    while chunk := handle.read(_CHUNK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            parts.append(chunk[:cut])
+            yield b"".join(parts)
+            parts = [chunk[cut:]]
+        else:
+            parts.append(chunk)
+    rest = b"".join(parts)
+    if rest:
+        yield rest
+
+
+def _decoded(handle, path: str):
+    """The text of ``handle`` from its start, without a leading byte order mark,
+    as decoded pieces that ``conll._rows`` reads; ParseError at the first byte
+    that is not UTF-8."""
+    handle.seek(0)
+    offset = 0
+    for piece in _pieces(handle):
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _bad_byte(handle, path, offset + exc.start) from None
+        yield text[1:] if offset == 0 and text.startswith("\ufeff") else text
+        offset += len(piece)
+
+
+def _bad_byte(handle, path: str, offset: int) -> ParseError:
+    """The ParseError for the byte at ``offset``, the first one of the file that
+    is not UTF-8, on the line the parsers would number it with."""
+    handle.seek(0)
+    lines = 0
+    for piece in _pieces(handle):
+        if offset < len(piece):
+            before = piece[:offset].decode("utf-8")
+            return ParseError("byte 0x%02x is not valid UTF-8" % piece[offset],
+                              line=lines + len((before + "_").splitlines()), path=path)
+        # every piece before the last ends with a newline, so lines add up
+        lines += len(piece.decode("utf-8").splitlines())
+        offset -= len(piece)
+    raise AssertionError("offset %d is past the end of the file" % offset)
+
+
+def _read(path: str, files: contextlib.ExitStack):
+    """The text of the file at ``path`` as ``_decoded`` gives it.
+
+    The file is opened, into ``files``, and decoded whole first, keeping no
+    text, so that a file that cannot be read or decoded fails here rather than
+    partway through the pass. A file that cannot seek, such as a pipe, is
+    read into memory first.
+    """
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        handle = files.enter_context(open(path, "rb"))
+        if not handle.seekable():
+            handle = io.BytesIO(handle.read())
+        collections.deque(_decoded(handle, path), maxlen=0)
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
-    try:
-        return data.decode("utf-8")  # the parsers drop a leading byte order mark
-    except UnicodeDecodeError as exc:
-        # count lines the way the parsers do
-        before = exc.object[:exc.start].decode("utf-8")
-        raise ParseError("byte 0x%02x is not valid UTF-8" % exc.object[exc.start],
-                         line=len((before + "_").splitlines()), path=path)
+    return _decoded(handle, path)
 
 
-def _words(fmt: str, words: str | None):
+def _words(fmt: str, words: str | None, files: contextlib.ExitStack):
     """The sentence blocks of the conll05 token file; None for conll09."""
     if fmt == "conll09":
         return None
     if words is None:
         raise ConfigError("--format conll05 requires --words TOKEN_FILE")
-    return _blocks(_read(words))
+    return _blocks(_read(words, files))
 
 
-def _stream(path: str, fmt: str, words, senses: str | None):
+def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack):
     """The unparsed sentence blocks of one input file and the function that
-    parses each of them in turn; ``words`` is what ``_words`` returned."""
+    parses each of them in turn; ``words`` is what ``_words`` returned, and
+    the files read stay open in ``files``."""
     if fmt == "conll09":
-        return _conll09_reader(_read(path), path)
-    sidecar = {} if senses is None else parse_sense_sidecar(_read(senses), path=senses)
-    return _conll05_reader(words, _read(path), sidecar, path)
+        return _conll09_reader(_read(path, files), path)
+    sidecar = {} if senses is None else _sense_sidecar(_read(senses, files), path=senses)
+    return _conll05_reader(words, _read(path, files), sidecar, path)
 
 
 def _mode(fmt: str) -> str:
@@ -79,8 +139,9 @@ def _mode(fmt: str) -> str:
 
 
 def load_corpus(path: str, fmt: str, words: str | None) -> Corpus:
-    blocks, parse = _stream(path, fmt, _words(fmt, words), None)
-    return Corpus(list(map(parse, blocks)), mode=_mode(fmt))
+    with contextlib.ExitStack() as files:
+        blocks, parse = _stream(path, fmt, _words(fmt, words, files), None, files)
+        return Corpus(list(map(parse, blocks)), mode=_mode(fmt))
 
 
 def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
@@ -90,15 +151,17 @@ def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
     Each gold and system block pair is parsed, gold first, once it is paired;
     both sides share one split of the token file.
     """
-    gold_words, system_words = itertools.tee(_words(args.format, args.words) or ())
-    gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses)
-    first = next(gold, None)
-    if first is None:
-        raise ConfigError("%s: no sentences" % args.gold)
-    system, parse_system = _stream(args.system, args.format, system_words, args.senses_system)
-    pairs = _pair_blocks(itertools.chain([first], gold), system, _count_mismatch)
-    return score_pairs(((n, parse_gold(g), parse_system(s)) for n, g, s in pairs),
-                       metrics, _mode(args.format))
+    with contextlib.ExitStack() as files:
+        gold_words, system_words = itertools.tee(_words(args.format, args.words, files) or ())
+        gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses, files)
+        first = next(gold, None)
+        if first is None:
+            raise ConfigError("%s: no sentences" % args.gold)
+        system, parse_system = _stream(args.system, args.format, system_words,
+                                       args.senses_system, files)
+        pairs = _pair_blocks(itertools.chain([first], gold), system, _count_mismatch)
+        return score_pairs(((n, parse_gold(g), parse_system(s)) for n, g, s in pairs),
+                           metrics, _mode(args.format))
 
 
 def _metric_name(metric: str, fmt: str) -> str:

@@ -8,6 +8,7 @@ column per target verb, plus a separate one-token-per-line words file).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -115,21 +116,23 @@ def _chunks(text: str):
         start = end
 
 
-def _rows(text: str):
-    """(line_number, stripped_line) for every line of ``text``.
+def _rows(pieces):
+    """(line_number, stripped_line) for every line of a text given as decoded
+    ``pieces``, each ending just after a newline or at the end of the text.
 
-    Lines and their numbers are those of ``text.splitlines()``. A blank line
-    yields an empty string, which ends a sentence block.
+    Lines and their numbers are those of ``"".join(pieces).splitlines()``. A
+    blank line yields an empty string, which ends a sentence block.
     """
-    lines = itertools.chain.from_iterable(map(str.splitlines, _chunks(text)))
+    lines = itertools.chain.from_iterable(map(str.splitlines, pieces))
     return enumerate(map(str.strip, lines), start=1)
 
 
-def _blocks(text: str, comments: bool = False):
-    """Yield [(line_number, stripped_line), ...] per sentence; with ``comments``,
-    lines that start with ``#`` are skipped and do not end a sentence."""
+def _blocks(pieces, comments: bool = False):
+    """Yield [(line_number, stripped_line), ...] per sentence of the text in
+    ``pieces``, as ``_rows`` reads it; with ``comments``, lines that start with
+    ``#`` are skipped and do not end a sentence."""
     block: list[tuple[int, str]] = []
-    for row in _rows(text):
+    for row in _rows(pieces):
         if row[1]:
             if not (comments and row[1][0] == "#"):
                 block.append(row)
@@ -171,9 +174,9 @@ def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
     return label
 
 
-def _conll09_reader(text: str, path: str | None = None):
-    """The unparsed sentence blocks of a CoNLL-2009 text and the function that
-    parses one of them."""
+def _conll09_reader(pieces, path: str | None = None):
+    """The unparsed sentence blocks of a CoNLL-2009 text, given as ``_rows``
+    takes it, and the function that parses one of them."""
     # Parsed records are frozen, so each distinct cell is parsed, checked and
     # built once per reader and the result is shared by every row that repeats it.
     labels: dict[str, RoleLabel] = {}
@@ -270,11 +273,11 @@ def _conll09_reader(text: str, path: str | None = None):
         return Sentence(tokens=list(map(Token, range(1, n + 1), columns[1])),
                         predicates=predicates)
 
-    return _blocks(text, comments=True), parse
+    return _blocks(pieces, comments=True), parse
 
 
 def parse_conll09(text: str, path: str | None = None) -> Corpus:
-    blocks, parse = _conll09_reader(text, path)
+    blocks, parse = _conll09_reader(_chunks(text), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="head")
 
 
@@ -284,9 +287,14 @@ _PROPS_CELL = re.compile(r"^(?:\((%s))?\*(\))?$" % _SPAN_LABEL.pattern)
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
+    return _sense_sidecar(_chunks(text), path)
+
+
+def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
+    """``parse_sense_sidecar`` of a text given as ``_rows`` takes it."""
     senses: dict[tuple[int, int], SenseLabel] = {}
     labels: dict[str, SenseLabel] = {}
-    for lineno, line in _rows(text):
+    for lineno, line in _rows(pieces):
         if not line or line[0] == "#":
             continue
         parts = line.split()
@@ -307,10 +315,11 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     return senses
 
 
-def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], SenseLabel],
+def _conll05_reader(word_blocks, props, senses: dict[tuple[int, int], SenseLabel],
                     path: str | None = None):
     """The unparsed (sentence number, words block, props block) triples of a token
-    file's blocks and a CoNLL-2005 props text, and the function that parses one.
+    file's blocks and a CoNLL-2005 props text, given as ``_rows`` takes it, and
+    the function that parses one.
 
     Each predicate pops its row from ``senses``. Unequal sentence counts are a
     ParseError, raised as the shorter side ends; so is a sense row that names
@@ -324,45 +333,47 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
 
     def parse(triple: tuple[int, list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
         sent_no, words, block = triple
-        rows = [(lineno, line.split()) for lineno, line in block]
+        rows = [line.split() for _, line in block]
         if len(rows) != len(words):
             raise ParseError("sentence %d: %d props rows for %d words"
                              % (sent_no, len(rows), len(words)),
-                             line=rows[0][0], path=path)
-        width = len(rows[0][1])
-        for lineno, cols in rows:
-            if len(cols) != width:
-                raise ColumnCountMismatch("expected %d columns, found %d" % (width, len(cols)),
-                                          line=lineno, path=path)
+                             line=block[0][0], path=path)
+        width = len(rows[0])
+        if set(map(len, rows)) != {width}:
+            lineno, cols = next((lineno, cols) for (lineno, _), cols in zip(block, rows)
+                                if len(cols) != width)
+            raise ColumnCountMismatch("expected %d columns, found %d" % (width, len(cols)),
+                                      line=lineno, path=path)
 
         predicates = []
         columns: dict[int, int] = {}  # anchor -> its predicate column
-        for j in range(width - 1):
+        for j, column in enumerate(itertools.islice(zip(*rows), 1, None), start=1):
             parts = []
             open_text = ""
             open_label: RoleLabel | None = None
             open_start = 0
-            for i, (lineno, cols) in enumerate(rows):
-                cell = cols[1 + j]
+            # a "*" cell neither opens nor closes a span
+            for i, cell in itertools.compress(enumerate(column), map("*".__ne__, column)):
                 groups = cells.get(cell)
                 if groups is None:
                     m = _PROPS_CELL.match(cell)
                     if not m:
-                        raise ParseError("malformed props cell %r" % cell, line=lineno, path=path)
+                        raise ParseError("malformed props cell %r" % cell,
+                                         line=block[i][0], path=path)
                     groups = cells[cell] = m.groups()
                 opened, closed = groups
                 if opened is not None:
                     if open_label is not None:
                         raise OverlappingSpan(
                             "span %s opened inside an open %s span" % (opened, open_label),
-                            line=lineno, path=path)
-                    open_label = _role(labels, opened, lineno, path)
+                            line=block[i][0], path=path)
+                    open_label = _role(labels, opened, block[i][0], path)
                     open_text = opened
                     open_start = i
                 if closed is not None:
                     if open_label is None:
                         raise UnbalancedBracket("close bracket without an open span",
-                                                line=lineno, path=path)
+                                                line=block[i][0], path=path)
                     part = spans.get((open_text, open_start, i))
                     if part is None:
                         part = spans[open_text, open_start, i] = RawArgument(
@@ -371,22 +382,22 @@ def _conll05_reader(word_blocks, props: str, senses: dict[tuple[int, int], Sense
                     open_label = None
             if open_label is not None:
                 raise UnbalancedBracket("span %s never closed" % (open_label,),
-                                        line=rows[open_start][0], path=path)
+                                        line=block[open_start][0], path=path)
 
             anchor = next((p.extent[0] for p in parts if p.label.base == VERB_BASE), None)
             if anchor is None:
-                raise AnchorMissing("predicate column %d has no V span" % (j + 1),
-                                    line=rows[0][0], path=path)
+                raise AnchorMissing("predicate column %d has no V span" % j,
+                                    line=block[0][0], path=path)
             if anchor in columns:
                 raise ParseError("predicate columns %d and %d both anchor at token %d"
-                                 % (columns[anchor], j + 1, anchor),
-                                 line=rows[anchor - 1][0], path=path)
-            columns[anchor] = j + 1
+                                 % (columns[anchor], j, anchor),
+                                 line=block[anchor - 1][0], path=path)
+            columns[anchor] = j
             sense = senses.pop((sent_no, anchor), None)
             predicates.append(PredicateInstance(anchor=anchor, sense=sense,
                                                 arguments=tuple(parts)))
 
-        tokens = [Token(index=i + 1, form=form) for i, (_, form) in enumerate(words)]
+        tokens = list(map(Token, range(1, len(words) + 1), map(operator.itemgetter(1), words)))
         predicates.sort(key=lambda p: p.anchor)
         return Sentence(tokens=tokens, predicates=predicates)
 
@@ -407,7 +418,8 @@ def parse_conll05(words: str, props: str,
                   path: str | None = None) -> Corpus:
     """A span corpus from a token text and a props text; ``senses`` maps
     (sentence, anchor token) to a sense and is left unmodified."""
-    blocks, parse = _conll05_reader(_blocks(words), props, dict(senses or {}), path)
+    blocks, parse = _conll05_reader(_blocks(_chunks(words)), _chunks(props),
+                                    dict(senses or {}), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
 
 

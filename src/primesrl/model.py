@@ -184,7 +184,7 @@ class MergedArgument(NamedTuple):
         return self.base_label.is_reference
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalCounts:
     correct: int = 0
     predicted: int = 0

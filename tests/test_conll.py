@@ -333,7 +333,7 @@ class TestParseSpan:
         props = "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3)
         senses = parse_sense_sidecar("1\t3\tbe.01\n2\t3\tbe.02\n3\t3\tbe.03\n")
         expected = parse_conll05(words, props, senses=senses).sentences
-        blocks, parse = conll._conll05_reader(conll._blocks(words), props, dict(senses))
+        blocks, parse = conll._conll05_reader(conll._blocks([words]), [props], dict(senses))
         triples = list(itertools.islice(blocks, 3))
         assert [n for n, _, _ in triples] == [1, 2, 3]
         parsed = [parse(triple) for triple in reversed(triples)][::-1]

@@ -207,5 +207,5 @@ def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk, comments):
     blocks = [list(group) for nonblank, group in itertools.groupby(kept, lambda row: bool(row[1]))
               if nonblank]
     with mock.patch.object(conll, "_CHUNK", chunk):
-        assert list(conll._rows(text)) == rows
-        assert list(conll._blocks(text, comments)) == blocks
+        assert list(conll._rows(conll._chunks(text))) == rows
+        assert list(conll._blocks(conll._chunks(text), comments)) == blocks
