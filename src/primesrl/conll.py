@@ -315,11 +315,19 @@ def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], Sen
     return senses
 
 
-def _conll05_reader(word_blocks, props, senses: dict[tuple[int, int], SenseLabel],
+def _token_lists(word_blocks):
+    """One token list per sentence block of a words file, as ``_conll05_reader``
+    takes them; readers given the same lists share them."""
+    for words in word_blocks:
+        yield list(map(Token, range(1, len(words) + 1), map(operator.itemgetter(1), words)))
+
+
+def _conll05_reader(token_lists, props, senses: dict[tuple[int, int], SenseLabel],
                     path: str | None = None):
-    """The unparsed (sentence number, words block, props block) triples of a token
-    file's blocks and a CoNLL-2005 props text, given as ``_rows`` takes it, and
-    the function that parses one.
+    """The unparsed (sentence number, token list, props block) triples of a words
+    file's ``_token_lists`` and a CoNLL-2005 props text, given as ``_rows``
+    takes it, and the function that parses one; the sentence it returns holds
+    that very token list.
 
     Each predicate pops its row from ``senses``. Unequal sentence counts are a
     ParseError, raised as the shorter side ends; so is a sense row that names
@@ -331,12 +339,12 @@ def _conll05_reader(word_blocks, props, senses: dict[tuple[int, int], SenseLabel
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
 
-    def parse(triple: tuple[int, list[tuple[int, str]], list[tuple[int, str]]]) -> Sentence:
-        sent_no, words, block = triple
+    def parse(triple: tuple[int, list[Token], list[tuple[int, str]]]) -> Sentence:
+        sent_no, tokens, block = triple
         rows = [line.split() for _, line in block]
-        if len(rows) != len(words):
+        if len(rows) != len(tokens):
             raise ParseError("sentence %d: %d props rows for %d words"
-                             % (sent_no, len(rows), len(words)),
+                             % (sent_no, len(rows), len(tokens)),
                              line=block[0][0], path=path)
         width = len(rows[0])
         if set(map(len, rows)) != {width}:
@@ -397,7 +405,6 @@ def _conll05_reader(word_blocks, props, senses: dict[tuple[int, int], SenseLabel
             predicates.append(PredicateInstance(anchor=anchor, sense=sense,
                                                 arguments=tuple(parts)))
 
-        tokens = list(map(Token, range(1, len(words) + 1), map(operator.itemgetter(1), words)))
         predicates.sort(key=lambda p: p.anchor)
         return Sentence(tokens=tokens, predicates=predicates)
 
@@ -406,7 +413,7 @@ def _conll05_reader(word_blocks, props, senses: dict[tuple[int, int], SenseLabel
                           % (_sentences(n_words), n_props), path=path)
 
     def pairs():
-        yield from _pair_blocks(word_blocks, _blocks(props), mismatch)
+        yield from _pair_blocks(token_lists, _blocks(props), mismatch)
         if senses:
             raise ParseError("sense row for sentence %d, token %d names no predicate"
                              % next(iter(senses)), path=path)
@@ -418,7 +425,7 @@ def parse_conll05(words: str, props: str,
                   path: str | None = None) -> Corpus:
     """A span corpus from a token text and a props text; ``senses`` maps
     (sentence, anchor token) to a sense and is left unmodified."""
-    blocks, parse = _conll05_reader(_blocks(_chunks(words)), _chunks(props),
+    blocks, parse = _conll05_reader(_token_lists(_blocks(_chunks(words))), _chunks(props),
                                     dict(senses or {}), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
 
@@ -567,18 +574,20 @@ def _count_mismatch(gold: int, system: int) -> SentenceCountMismatch:
 
 def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:
     """Check that sentence ``idx`` has the same tokens on both sides and pair its
-    gold and system predicates by anchor token index."""
-    if len(gs.tokens) != len(ss.tokens):
-        raise TokenMismatch(
-            "sentence %d: gold has %d tokens, system has %d"
-            % (idx, len(gs.tokens), len(ss.tokens)),
-            sentence=idx, token=min(len(gs.tokens), len(ss.tokens)) + 1)
-    for gt, st in zip(gs.tokens, ss.tokens):
-        if gt.form != st.form:
+    gold and system predicates by anchor token index. Sentences that hold one
+    token list, as the CLI's conll05 sentences do, have the same tokens."""
+    if gs.tokens is not ss.tokens:
+        if len(gs.tokens) != len(ss.tokens):
             raise TokenMismatch(
-                "sentence %d, token %d: form %r != %r"
-                % (idx, gt.index, gt.form, st.form),
-                sentence=idx, token=gt.index)
+                "sentence %d: gold has %d tokens, system has %d"
+                % (idx, len(gs.tokens), len(ss.tokens)),
+                sentence=idx, token=min(len(gs.tokens), len(ss.tokens)) + 1)
+        for gt, st in zip(gs.tokens, ss.tokens):
+            if gt.form != st.form:
+                raise TokenMismatch(
+                    "sentence %d, token %d: form %r != %r"
+                    % (idx, gt.index, gt.form, st.form),
+                    sentence=idx, token=gt.index)
     sys_by_anchor = {p.anchor: p for p in ss.predicates}
     sent = AlignedSentence(index=idx)
     for gp in gs.predicates:

@@ -24,9 +24,18 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
     carries a C- prefix, regardless of which part carries it; an orphan C-X
     still yields a unit with base X. Plain duplicates without any C-part stay
     separate units. Token sets are unioned identically for head and span data.
-    Units come in the order in which their (base, reference flag) group first
-    appears among the arguments, a group's plain duplicates in argument order.
+    A predicate without any C- part has one unit per part, in argument order;
+    otherwise units come in the order in which their (base, reference flag)
+    group first appears among the arguments, a group's plain duplicates in
+    argument order.
     """
+    for arg in pred.arguments:
+        if arg.label.is_continuation:
+            break
+    else:
+        # no label to strip and no group to merge: each part is its own unit
+        return list(map(MergedArgument._make, pred.arguments))
+
     groups: dict[tuple[str, bool], list] = {}
     for arg in pred.arguments:
         groups.setdefault((arg.label.base, arg.label.is_reference), []).append(arg)
@@ -41,4 +50,3 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
             # a RawArgument extent is already non-empty, sorted and duplicate-free
             units.extend(MergedArgument(label, p.extent) for p in parts)
     return units
-

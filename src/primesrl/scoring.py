@@ -74,16 +74,38 @@ def score_predicates_trivial(aligned: AlignedCorpus) -> EvalCounts:
 # ---------------------------------------------------------------------------
 # scoring units: (per-label tally label, match key, ...) items per predicate
 
+class _LabelTable(dict):
+    """RoleLabel -> ``fact(label)``, kept for labels of a known family (core or
+    modifier) only, so that it grows with the distinct labels of a run and
+    ``fact`` runs once for each. Any other label is looked up anew each time,
+    so ``classify`` still warns about an unknown base once per unit."""
+
+    def __init__(self, fact):
+        super().__init__()
+        self.fact = fact
+
+    def __missing__(self, label):
+        value = self.fact(label)
+        if label.is_core or label.is_modifier:
+            self[label] = value
+        return value
+
+
+# two tables, as the legacy builders never classify
+_TALLY = _LabelTable(str)
+_STRICT = _LabelTable(lambda label: (str(label), classify(label) == "core"))
+
+
 def _strict_units(pred: PredicateInstance) -> list[tuple]:
     """Merged units, each its own (base_label, tokens) match key, with their core flag."""
-    return [(str(u.base_label), u, classify(u.base_label) == "core")
-            for u in merge_continuations(pred) if not u.base_label.is_verb]
+    return [(tally, u, core) for u in merge_continuations(pred) if u.base_label.base != VERB_BASE
+            for tally, core in (_STRICT[u.base_label],)]
 
 
 def _head_units(pred: PredicateInstance) -> list[tuple]:
     """Every labeled head token is an independent unit; literal label match."""
-    return [(str(a.label), (str(a.label), a.extent))
-            for a in pred.arguments if a.label.base != VERB_BASE]
+    return [(tally, (tally, a.extent)) for a in pred.arguments if a.label.base != VERB_BASE
+            for tally in (_TALLY[a.label],)]
 
 
 def chain_spans(pred: PredicateInstance) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
@@ -93,16 +115,24 @@ def chain_spans(pred: PredicateInstance) -> list[tuple[tuple[str, tuple[int, ...
     recently opened unit with base X; an orphan C-X opens a unit keyed by its
     literal label and later C-X parts chain onto it.
     """
+    args = pred.arguments
+    previous = 0
+    for arg in args:
+        if arg.extent[0] < previous:
+            # both parsers give extent order; a predicate built otherwise may not have it
+            args = sorted(args, key=lambda a: a.extent[0])
+            break
+        previous = arg.extent[0]
     units: list[list[tuple[str, tuple[int, ...]]]] = []
     open_idx: dict[tuple[str, bool], int] = {}
-    for arg in sorted(pred.arguments, key=lambda a: a.extent[0]):
+    for arg in args:
         if arg.label.base == VERB_BASE:
             continue
         key = (arg.label.base, arg.label.is_reference)
         if arg.label.is_continuation and key in open_idx:
-            units[open_idx[key]].append((str(arg.label), arg.extent))
+            units[open_idx[key]].append((_TALLY[arg.label], arg.extent))
         else:
-            units.append([(str(arg.label), arg.extent)])
+            units.append([(_TALLY[arg.label], arg.extent)])
             open_idx[key] = len(units) - 1
     return [tuple(u) for u in units]
 

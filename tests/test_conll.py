@@ -1,6 +1,9 @@
+import contextlib
+import io
 import itertools
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from primesrl import (
     Sentence,
     Token,
     align,
+    cli,
     parse_conll05,
     parse_conll09,
     parse_sense_sidecar,
@@ -35,6 +39,7 @@ from primesrl.conll import (
     TokenMismatch,
     UnbalancedBracket,
 )
+from primesrl.scoring import score_pairs
 
 
 def row(index, form, fillpred="_", pred="_", apreds=()):
@@ -333,7 +338,8 @@ class TestParseSpan:
         props = "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3)
         senses = parse_sense_sidecar("1\t3\tbe.01\n2\t3\tbe.02\n3\t3\tbe.03\n")
         expected = parse_conll05(words, props, senses=senses).sentences
-        blocks, parse = conll._conll05_reader(conll._blocks([words]), [props], dict(senses))
+        blocks, parse = conll._conll05_reader(conll._token_lists(conll._blocks([words])), [props],
+                                              dict(senses))
         triples = list(itertools.islice(blocks, 3))
         assert [n for n, _, _ in triples] == [1, 2, 3]
         parsed = [parse(triple) for triple in reversed(triples)][::-1]
@@ -588,3 +594,50 @@ class TestAlign:
         with pytest.raises(TokenMismatch) as err:
             align(load_head("tax_gold"), load_head("lead_gold"))
         assert err.value.sentence == 1
+
+    def test_distinct_but_equal_token_lists_align(self):
+        # each library parse builds its own token lists, so their forms are compared
+        gold, system = load_span("tax", "tax_gold"), load_span("tax", "tax_p1")
+        assert gold.sentences[0].tokens is not system.sentences[0].tokens
+        assert gold.sentences[0].tokens == system.sentences[0].tokens
+        assert len(align(gold, system).sentences[0].pairs) == 1
+
+    @pytest.mark.parametrize("change", ["form", "length"])
+    def test_distinct_token_lists_that_differ_keep_their_message(self, change):
+        gold = load_span("tax", "tax_gold")
+        tokens = list(gold.sentences[0].tokens)
+        if change == "form":
+            tokens[1] = Token(2, "changed")
+            expected = "sentence 1, token 2: form %r != 'changed'" % gold.sentences[0].tokens[1].form
+            where = (1, 2)
+        else:
+            tokens.pop()
+            expected = "sentence 1: gold has %d tokens, system has %d" % (len(tokens) + 1,
+                                                                          len(tokens))
+            where = (1, len(tokens) + 1)
+        system = Corpus([Sentence(tokens, gold.sentences[0].predicates)], mode="span")
+        with pytest.raises(TokenMismatch) as err:
+            align(gold, system)
+        assert str(err.value) == expected
+        assert (err.value.sentence, err.value.token) == where
+
+    def test_the_cli_pairs_conll05_sentences_that_share_one_token_list(self, tmp_path):
+        rng = random.Random(3)
+        gold = random_corpus(rng, n_sentences=6, mode="span")
+        words, gold_props = serialize_conll05(gold)
+        _, system_props = serialize_conll05(perturb_corpus(rng, gold))
+        for name, text in (("words", words), ("gold.props", gold_props),
+                           ("sys.props", system_props)):
+            (tmp_path / name).write_text(text)
+        shared = []
+
+        def record(pairs, metrics, mode):
+            pairs = list(pairs)
+            shared.extend(g.tokens is s.tokens for _, g, s in pairs)
+            return score_pairs(pairs, metrics, mode)
+
+        with mock.patch.object(cli, "score_pairs", side_effect=record), \
+                contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["compare", "--format", "conll05", "--words", str(tmp_path / "words"),
+                             str(tmp_path / "gold.props"), str(tmp_path / "sys.props")]) == 0
+        assert shared == [True] * 6

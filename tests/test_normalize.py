@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,43 @@ def test_units_are_whole_arguments_over_the_raw_tokens(preds):
             assert unit.tokens and list(unit.tokens) == sorted(set(unit.tokens))
         assert ({t for unit in units for t in unit.tokens}
                 == {t for arg in pred.arguments for t in arg.extent})
+
+
+def grouped_units(pred: PredicateInstance) -> list[tuple[RoleLabel, tuple[int, ...]]]:
+    """The reference rule: parts grouped by (base, reference flag), a group
+    merged into one unit when any part has a C- prefix, its parts kept as
+    units otherwise."""
+    groups: dict[tuple[str, bool], list[RawArgument]] = {}
+    for arg in pred.arguments:
+        groups.setdefault((arg.label.base, arg.label.is_reference), []).append(arg)
+    units = []
+    for (base, is_ref), parts in groups.items():
+        label = RoleLabel(base, False, is_ref)
+        if any(p.label.is_continuation for p in parts):
+            units.append((label, tuple(sorted({t for p in parts for t in p.extent}))))
+        else:
+            units.extend((label, p.extent) for p in parts)
+    return units
+
+
+def without_continuations(pred: PredicateInstance) -> PredicateInstance:
+    """``pred`` with every C- prefix dropped: a merged argument's parts become
+    plain duplicates."""
+    return PredicateInstance(pred.anchor, pred.sense, tuple(
+        RawArgument(arg.label._replace(is_continuation=False), arg.extent)
+        for arg in pred.arguments))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(generated_predicates())
+def test_units_are_those_of_the_grouping_with_or_without_a_continuation(preds):
+    for pred in preds + [without_continuations(p) for p in preds]:
+        units = merge_continuations(pred)
+        assert (Counter((u.base_label, u.tokens) for u in units)
+                == Counter(grouped_units(pred)))
+        if not any(arg.label.is_continuation for arg in pred.arguments):
+            # one unit per part, in argument order
+            assert [tuple(u) for u in units] == [tuple(arg) for arg in pred.arguments]
 
 
 class TestClassify:

@@ -21,6 +21,7 @@ from primesrl import (
     Sentence,
     Token,
     align,
+    classify,
     evaluate,
     corpus_stats,
     normalize,
@@ -29,9 +30,10 @@ from primesrl import (
     score_predicates_legacy09,
     score_predicates_primesrl,
     serialize_conll05,
+    serialize_conll09,
 )
 from primesrl.conll import TokenMismatch, _corpus_pairs
-from primesrl.model import PredicateInstance, RawArgument
+from primesrl.model import MODIFIER_TAGS, PredicateInstance, RawArgument
 from primesrl.scoring import (
     CORRECT,
     EmptyCorpus,
@@ -39,6 +41,7 @@ from primesrl.scoring import (
     METRICS,
     MissingGoldSense,
     PREDICTED,
+    _head_units,
     _lemma_and_sense,
     _reference_filter,
     _score_aligned,
@@ -503,3 +506,130 @@ class TestAgreeingPairs:
                     other = dataclasses.replace(pred, anchor=anchor, sense=sense)
                     for units, _, _ in METRICS.values():
                         assert units(other) == units(pred)
+
+
+class TestLabelTable:
+    """The unit builders look up a known label's tally text and core flag once;
+    what they read must be what ``str`` and ``classify`` give for the label."""
+
+    @staticmethod
+    def predicates() -> list[PredicateInstance]:
+        corpora = [load_head(path.stem) for path in sorted(DATA.glob("*.conll"))]
+        corpora += [load_span(path.stem.split("_")[0], path.stem)
+                    for path in sorted(DATA.glob("*.props"))]
+        rng = random.Random(5)
+        for mode in ("head", "span"):
+            gold = random_corpus(rng, n_sentences=40, mode=mode, max_tokens=20, max_preds=4,
+                                 max_args=5)
+            corpora += [gold, perturb_corpus(rng, gold)]
+        return [pred for corpus in corpora for sentence in corpus.sentences
+                for pred in sentence.predicates]
+
+    def test_builders_read_str_and_classify_of_each_label(self):
+        preds = self.predicates()
+        seen = set()
+        for _ in range(2):  # filling the tables, then reading them
+            for pred in preds:
+                for tally, unit, core in _strict_units(pred):
+                    assert tally == str(unit.base_label)
+                    assert core == (classify(unit.base_label) == "core")
+                parts = [arg for arg in pred.arguments if arg.label.base != "V"]
+                assert _head_units(pred) == [(str(arg.label), (str(arg.label), arg.extent))
+                                             for arg in parts]
+                labels = {arg.extent: str(arg.label) for arg in parts}
+                for unit in chain_spans(pred):
+                    for tally, extent in unit:
+                        assert tally == labels[extent]
+                seen.update(arg.label for arg in parts)
+        # both families, with and without each prefix
+        assert {(label.is_core, label.is_continuation, label.is_reference) for label in seen} \
+            >= {(core, cont, False) for core in (True, False) for cont in (True, False)}
+        assert any(label.is_core and label.is_reference for label in seen)
+
+    @pytest.mark.parametrize("mode", ["head", "span"])
+    def test_an_unknown_base_warns_once_per_unit(self, mode):
+        # no C- part, so the units are the parts themselves
+        extents = [(2,), (4,), (5,)] if mode == "head" else [(2, 3), (5, 6), (7, 8)]
+        args = [RawArgument(RoleLabel(base), extent)
+                for base, extent in zip(("XYZ", "XYZ", "A1"), extents)]
+        if mode == "span":
+            args.insert(0, RawArgument(RoleLabel("V"), (1,)))
+        pred = PredicateInstance(1, SenseLabel("buy", "01"), tuple(args))
+        for _ in range(2):  # an unknown label is never kept, so it warns every time
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                units = _strict_units(pred)
+                # the legacy builders never classify
+                _head_units(pred), chain_spans(pred)
+            assert [(w.category, str(w.message)) for w in caught] == [TestUnknownRole.WARNING] * 2
+            assert [(tally, core) for tally, _, core in units] == \
+                [("XYZ", False), ("XYZ", False), ("A1", True)]
+
+
+def respell(text: str, bare: bool) -> str:
+    """A role label in its other PropBank spelling, prefixes kept: A0 -> ARG0,
+    and AM-TMP -> ARGM-TMP, or with ``bare`` -> TMP; V stays V."""
+    label = RoleLabel.parse(text)
+    base = label.base
+    if bare and base[3:] in MODIFIER_TAGS:
+        base = base[3:]
+    elif base.startswith("A"):
+        base = "ARG" + base[1:]
+    return ("R-" if label.is_reference else "") + ("C-" if label.is_continuation else "") + base
+
+
+def respelled(text: str, mode: str, bare: bool = False) -> str:
+    """A CoNLL-2009 text (head) or CoNLL-2005 props text (span) with every role
+    label respelled."""
+    lines = []
+    for line in text.split("\n"):
+        cells = line.split("\t")
+        if mode == "head":
+            cells[14:] = [cell if cell == "_" else respell(cell, bare) for cell in cells[14:]]
+        else:
+            cells[1:] = [re.sub(r"(?<=\()[^*]+", lambda m: respell(m.group(), bare), cell)
+                         for cell in cells[1:]]
+        lines.append("\t".join(cells))
+    return "\n".join(lines)
+
+
+class TestLabelSpelling:
+    """ARG0 and A0, and ARGM-TMP, TMP and AM-TMP, name one label: a gold/system
+    pair written with the other spellings, on both sides or on one, scores as
+    with the short ones, row for row and label for label."""
+
+    @staticmethod
+    def read(corpus: Corpus, respell: bool, bare: bool) -> Corpus:
+        if corpus.mode == "head":
+            text = serialize_conll09(corpus)
+            other = respelled(text, "head", bare)
+            assert other != text  # every corpus drawn has a non-verb argument
+            return parse_conll09(other if respell else text)
+        words, props = serialize_conll05(corpus)
+        other = respelled(props, "span", bare)
+        assert other != props
+        senses = {(i, p.anchor): p.sense for i, sentence in enumerate(corpus.sentences, start=1)
+                  for p in sentence.predicates if p.sense is not None}
+        return parse_conll05(words, other if respell else props, senses=senses)
+
+    def test_the_respellings_read_back_as_the_label(self):
+        for text in ("A0", "AA", "C-A1", "R-A2", "AM-TMP", "R-C-AM-LOC", "AM-XYZ", "V"):
+            for bare in (False, True):
+                assert RoleLabel.parse(respell(text, bare)) == RoleLabel.parse(text)
+        assert [respell(text, False) for text in ("R-A0", "C-AM-TMP")] == ["R-ARG0", "C-ARGM-TMP"]
+        assert [respell(text, True) for text in ("R-A0", "C-AM-TMP")] == ["R-ARG0", "C-TMP"]
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans(), bare=st.booleans())
+    def test_other_spellings_score_as_the_short_ones(self, seed, mode, with_sense, bare):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense)
+        system = perturb_corpus(rng, gold)
+        short = [self.read(gold, False, bare), self.read(system, False, bare)]
+        other = [self.read(gold, True, bare), self.read(system, True, bare)]
+        for metrics in [(metric,) for metric in METRICS] + [("legacy_" + mode, "primesrl")]:
+            expected = score_pairs(_corpus_pairs(*short), metrics, mode)
+            for pair in (other, (other[0], short[1]), (short[0], other[1])):
+                assert score_pairs(_corpus_pairs(*pair), metrics, mode) == expected
