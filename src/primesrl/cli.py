@@ -22,7 +22,7 @@ from .conll import (
     _count_mismatch,
     _pair_blocks,
     _sense_sidecar,
-    _token_lists,
+    _sentence_forms,
 )
 from .model import EvalCounts, ScoreReport
 from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, score_pairs
@@ -117,12 +117,12 @@ def _read(path: str, files: contextlib.ExitStack):
 
 
 def _words(fmt: str, words: str | None, files: contextlib.ExitStack):
-    """The token list of each sentence of the conll05 token file; None for conll09."""
+    """The forms tuple of each sentence of the conll05 token file; None for conll09."""
     if fmt == "conll09":
         return None
     if words is None:
         raise ConfigError("--format conll05 requires --words TOKEN_FILE")
-    return _token_lists(_blocks(_read(words, files)))
+    return _sentence_forms(_blocks(_read(words, files)))
 
 
 def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack):
@@ -147,9 +147,8 @@ def load_corpus(path: str, fmt: str, words: str | None) -> Corpus:
 
 def _split(items):
     """Two iterators over ``items``, which holds no None, for two readers that
-    take turns. Each item is let go once both have taken it; ``itertools.tee``
-    holds items in blocks of 57, and freeing a conll05 run's token lists in
-    such bulks costs the garbage collector more passes."""
+    take turns. Each item is let go once both have taken it, where
+    ``itertools.tee`` holds items in blocks of 57."""
     source = iter(items)
     queues = (collections.deque(), collections.deque())
 
@@ -172,7 +171,7 @@ def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
 
     The gold file must have a sentence block before the system file is read.
     Each gold and system block pair is parsed, gold first, once it is paired;
-    in conll05, both sides share one token list per sentence of the token file.
+    in conll05, both sides share one forms tuple per sentence of the token file.
     """
     with contextlib.ExitStack() as files:
         gold_words, system_words = _split(_words(args.format, args.words, files) or ())

@@ -89,10 +89,40 @@ class TokenMismatch(AlignmentError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(init=False)
 class Sentence:
-    tokens: list[Token]
+    """A sentence's token forms, token i being ``forms[i - 1]``, and its predicates.
+
+    ``Sentence(tokens, predicates)`` keeps only each ``Token``'s form, so it
+    raises ValueError unless the tokens are numbered 1..n in order.
+    """
+
+    forms: tuple[str, ...]
     predicates: list[PredicateInstance]
+
+    def __init__(self, tokens: list[Token], predicates: list[PredicateInstance]):
+        forms = []
+        for i, token in enumerate(tokens, start=1):
+            if token.index != i:
+                raise ValueError("token %d of the sentence has index %d; tokens are "
+                                 "numbered 1..n" % (i, token.index))
+            forms.append(token.form)
+        self.forms = tuple(forms)
+        self.predicates = predicates
+
+    @classmethod
+    def _of_forms(cls, forms: tuple[str, ...],
+                  predicates: list[PredicateInstance]) -> Sentence:
+        """The sentence of ``forms``, as the parsers build it: no ``Token`` per token."""
+        sentence = cls.__new__(cls)
+        sentence.forms = forms
+        sentence.predicates = predicates
+        return sentence
+
+    @property
+    def tokens(self) -> list[Token]:
+        """The forms as ``Token``s numbered from 1, in a new list at each read."""
+        return list(map(Token, range(1, len(self.forms) + 1), self.forms))
 
 
 @dataclass
@@ -270,8 +300,7 @@ def _conll09_reader(pieces, path: str | None = None):
                                                  line=block[anchor - 1][0], path=path)),
                                   MalformedSenseWarning)
             predicates.append(PredicateInstance(anchor=anchor, sense=sense, arguments=args))
-        return Sentence(tokens=list(map(Token, range(1, n + 1), columns[1])),
-                        predicates=predicates)
+        return Sentence._of_forms(columns[1], predicates)
 
     return _blocks(pieces, comments=True), parse
 
@@ -315,19 +344,19 @@ def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], Sen
     return senses
 
 
-def _token_lists(word_blocks):
-    """One token list per sentence block of a words file, as ``_conll05_reader``
-    takes them; readers given the same lists share them."""
+def _sentence_forms(word_blocks):
+    """One forms tuple per sentence block of a words file, as ``_conll05_reader``
+    takes them; readers given the same tuples share them."""
     for words in word_blocks:
-        yield list(map(Token, range(1, len(words) + 1), map(operator.itemgetter(1), words)))
+        yield tuple(map(operator.itemgetter(1), words))
 
 
-def _conll05_reader(token_lists, props, senses: dict[tuple[int, int], SenseLabel],
+def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLabel],
                     path: str | None = None):
-    """The unparsed (sentence number, token list, props block) triples of a words
-    file's ``_token_lists`` and a CoNLL-2005 props text, given as ``_rows``
+    """The unparsed (sentence number, forms, props block) triples of a words
+    file's ``_sentence_forms`` and a CoNLL-2005 props text, given as ``_rows``
     takes it, and the function that parses one; the sentence it returns holds
-    that very token list.
+    that very forms tuple.
 
     Each predicate pops its row from ``senses``. Unequal sentence counts are a
     ParseError, raised as the shorter side ends; so is a sense row that names
@@ -339,12 +368,12 @@ def _conll05_reader(token_lists, props, senses: dict[tuple[int, int], SenseLabel
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
 
-    def parse(triple: tuple[int, list[Token], list[tuple[int, str]]]) -> Sentence:
-        sent_no, tokens, block = triple
+    def parse(triple: tuple[int, tuple[str, ...], list[tuple[int, str]]]) -> Sentence:
+        sent_no, forms, block = triple
         rows = [line.split() for _, line in block]
-        if len(rows) != len(tokens):
+        if len(rows) != len(forms):
             raise ParseError("sentence %d: %d props rows for %d words"
-                             % (sent_no, len(rows), len(tokens)),
+                             % (sent_no, len(rows), len(forms)),
                              line=block[0][0], path=path)
         width = len(rows[0])
         if set(map(len, rows)) != {width}:
@@ -406,14 +435,14 @@ def _conll05_reader(token_lists, props, senses: dict[tuple[int, int], SenseLabel
                                                 arguments=tuple(parts)))
 
         predicates.sort(key=lambda p: p.anchor)
-        return Sentence(tokens=tokens, predicates=predicates)
+        return Sentence._of_forms(forms, predicates)
 
     def mismatch(n_words: int, n_props: int) -> ParseError:
         return ParseError("words file has %s, props file has %d"
                           % (_sentences(n_words), n_props), path=path)
 
     def pairs():
-        yield from _pair_blocks(token_lists, _blocks(props), mismatch)
+        yield from _pair_blocks(sentence_forms, _blocks(props), mismatch)
         if senses:
             raise ParseError("sense row for sentence %d, token %d names no predicate"
                              % next(iter(senses)), path=path)
@@ -425,7 +454,7 @@ def parse_conll05(words: str, props: str,
                   path: str | None = None) -> Corpus:
     """A span corpus from a token text and a props text; ``senses`` maps
     (sentence, anchor token) to a sense and is left unmodified."""
-    blocks, parse = _conll05_reader(_token_lists(_blocks(_chunks(words))), _chunks(props),
+    blocks, parse = _conll05_reader(_sentence_forms(_blocks(_chunks(words))), _chunks(props),
                                     dict(senses or {}), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
 
@@ -441,7 +470,7 @@ def _in_anchor_order(sentence: Sentence) -> list[PredicateInstance]:
     predicates = sorted(sentence.predicates, key=lambda p: p.anchor)
     previous = 0
     for pred in predicates:
-        _inside((pred.anchor,), len(sentence.tokens), "predicate anchor")
+        _inside((pred.anchor,), len(sentence.forms), "predicate anchor")
         if pred.anchor == previous:
             raise ValueError("two predicates anchored at token %d" % previous)
         previous = pred.anchor
@@ -469,7 +498,7 @@ def _role_cell(label: RoleLabel, span: bool) -> str:
 
 def _has_tokens(n: int, sentence: Sentence) -> None:
     # an empty sentence would be written as a blank line, that is, as no sentence
-    if not sentence.tokens:
+    if not sentence.forms:
         raise ValueError("sentence %d has no tokens" % n)
 
 
@@ -480,24 +509,24 @@ def serialize_conll09(corpus: Corpus) -> str:
     for n, sentence in enumerate(corpus.sentences, start=1):
         _has_tokens(n, sentence)
         predicates = _in_anchor_order(sentence)
-        apred = [["_"] * len(sentence.tokens) for _ in predicates]
+        apred = [["_"] * len(sentence.forms) for _ in predicates]
         for k, pred in enumerate(predicates):
             for arg in pred.arguments:
                 if len(arg.extent) != 1:
                     raise ModeMismatch("head-mode argument with multi-token extent")
-                _inside(arg.extent, len(sentence.tokens), "argument")
+                _inside(arg.extent, len(sentence.forms), "argument")
                 i = arg.extent[0] - 1
                 if apred[k][i] != "_":
                     raise ValueError("two labels on one token for one predicate")
                 apred[k][i] = _role_cell(arg.label, span=False)
         pred_by_anchor = {p.anchor: p for p in predicates}
-        for token in sentence.tokens:
-            pred = pred_by_anchor.get(token.index)
+        for index, form in enumerate(sentence.forms, start=1):
+            pred = pred_by_anchor.get(index)
             fillpred = "Y" if pred is not None else "_"
             sense = (_cell(str(pred.sense), "sense") if pred is not None and pred.sense is not None
                      else "_")
-            cols = ([str(token.index), _cell(token.form, "form")] + ["_"] * 10 + [fillpred, sense]
-                    + [column[token.index - 1] for column in apred])
+            cols = ([str(index), _cell(form, "form")] + ["_"] * 10 + [fillpred, sense]
+                    + [column[index - 1] for column in apred])
             out.append("\t".join(cols))
         out.append("")
     return "\n".join(out)
@@ -510,7 +539,7 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
     props_out = []
     for n, sentence in enumerate(corpus.sentences, start=1):
         _has_tokens(n, sentence)
-        n_tokens = len(sentence.tokens)
+        n_tokens = len(sentence.forms)
         col0 = ["-"] * n_tokens
         columns = []
         for pred in _in_anchor_order(sentence):
@@ -539,10 +568,9 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
                 closes[end - 1] = ")"
             columns.append([opens[i] + "*" + closes[i] for i in range(n_tokens)])
             lemma = pred.sense.lemma if pred.sense is not None else \
-                sentence.tokens[pred.anchor - 1].form
+                sentence.forms[pred.anchor - 1]
             col0[pred.anchor - 1] = _cell(lemma, "lemma")
-        for i, token in enumerate(sentence.tokens):
-            form = token.form
+        for i, form in enumerate(sentence.forms):
             # a words line is read stripped, and the text's first character
             # is dropped when it is a byte order mark
             if (form.strip() != form or form.splitlines() != [form]
@@ -573,21 +601,20 @@ def _count_mismatch(gold: int, system: int) -> SentenceCountMismatch:
 
 
 def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:
-    """Check that sentence ``idx`` has the same tokens on both sides and pair its
-    gold and system predicates by anchor token index. Sentences that hold one
-    token list, as the CLI's conll05 sentences do, have the same tokens."""
-    if gs.tokens is not ss.tokens:
-        if len(gs.tokens) != len(ss.tokens):
+    """Check that sentence ``idx`` has the same forms on both sides and pair its
+    gold and system predicates by anchor token index."""
+    gold, system = gs.forms, ss.forms
+    if gold != system:
+        if len(gold) != len(system):
             raise TokenMismatch(
                 "sentence %d: gold has %d tokens, system has %d"
-                % (idx, len(gs.tokens), len(ss.tokens)),
-                sentence=idx, token=min(len(gs.tokens), len(ss.tokens)) + 1)
-        for gt, st in zip(gs.tokens, ss.tokens):
-            if gt.form != st.form:
+                % (idx, len(gold), len(system)),
+                sentence=idx, token=min(len(gold), len(system)) + 1)
+        for index, (gf, sf) in enumerate(zip(gold, system), start=1):
+            if gf != sf:
                 raise TokenMismatch(
-                    "sentence %d, token %d: form %r != %r"
-                    % (idx, gt.index, gt.form, st.form),
-                    sentence=idx, token=gt.index)
+                    "sentence %d, token %d: form %r != %r" % (idx, index, gf, sf),
+                    sentence=idx, token=index)
     sys_by_anchor = {p.anchor: p for p in ss.predicates}
     sent = AlignedSentence(index=idx)
     for gp in gs.predicates:

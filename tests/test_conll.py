@@ -107,13 +107,35 @@ def sidecar(corpus: Corpus) -> str:
                    for p in sentence.predicates if p.sense is not None)
 
 
+class TestSentence:
+    def test_tokens_read_back_as_given(self):
+        tokens = [Token(i, form) for i, form in enumerate("It cost # 200 .".split(), start=1)]
+        sentence = Sentence(tokens, [])
+        assert sentence.forms == ("It", "cost", "#", "200", ".")
+        assert sentence.tokens == tokens and sentence.tokens is not tokens
+        assert Sentence([], []).forms == ()
+
+    # forms cannot hold another numbering, which serialize_conll09 would write
+    # as ids its parser rejects and serialize_conll05 would renumber
+    @pytest.mark.parametrize("indices, position, index", [((1, 3), 2, 3), ((1, 1), 2, 1),
+                                                          ((2, 3), 1, 2)],
+                             ids=["gap", "repeat", "start"])
+    def test_tokens_are_numbered_from_one(self, indices, position, index):
+        with pytest.raises(ValueError) as err:
+            Sentence([Token(i, "w%d" % i) for i in indices], [])
+        assert str(err.value) == ("token %d of the sentence has index %d; tokens are "
+                                  "numbered 1..n" % (position, index))
+
+
 class TestParseHead:
     def test_small_sentence(self):
         corpus = load_head("buy_gold")
         assert corpus.mode == "head"
         assert len(corpus.sentences) == 1
         sent = corpus.sentences[0]
-        assert [t.form for t in sent.tokens][:4] == ["Yesterday", ",", "John", "bought"]
+        assert type(sent.forms) is tuple and {type(form) for form in sent.forms} == {str}
+        assert sent.forms[:4] == ("Yesterday", ",", "John", "bought")
+        assert sent.tokens == [Token(i, form) for i, form in enumerate(sent.forms, start=1)]
         assert len(sent.predicates) == 1
         pred = sent.predicates[0]
         assert pred.anchor == 4
@@ -327,6 +349,9 @@ class TestParseSpan:
 
     def test_fixture_sentence(self):
         corpus = load_span("lead", "lead_gold")
+        forms = corpus.sentences[0].forms
+        assert type(forms) is tuple and {type(form) for form in forms} == {str}
+        assert forms == tuple((DATA / "lead.words").read_text().split())
         pred = corpus.sentences[0].predicates[0]
         assert pred.anchor == 7
         labels = [str(a.label) for a in pred.arguments]
@@ -338,8 +363,8 @@ class TestParseSpan:
         props = "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3)
         senses = parse_sense_sidecar("1\t3\tbe.01\n2\t3\tbe.02\n3\t3\tbe.03\n")
         expected = parse_conll05(words, props, senses=senses).sentences
-        blocks, parse = conll._conll05_reader(conll._token_lists(conll._blocks([words])), [props],
-                                              dict(senses))
+        blocks, parse = conll._conll05_reader(conll._sentence_forms(conll._blocks([words])),
+                                              [props], dict(senses))
         triples = list(itertools.islice(blocks, 3))
         assert [n for n, _, _ in triples] == [1, 2, 3]
         parsed = [parse(triple) for triple in reversed(triples)][::-1]
@@ -596,11 +621,12 @@ class TestAlign:
         assert err.value.sentence == 1
 
     def test_distinct_but_equal_token_lists_align(self):
-        # each library parse builds its own token lists, so their forms are compared
-        gold, system = load_span("tax", "tax_gold"), load_span("tax", "tax_p1")
-        assert gold.sentences[0].tokens is not system.sentences[0].tokens
-        assert gold.sentences[0].tokens == system.sentences[0].tokens
-        assert len(align(gold, system).sentences[0].pairs) == 1
+        # each library parse builds its own forms tuples, so they are compared
+        for load in (lambda name: load_span("tax", name), load_head):
+            gold, system = load("tax_gold"), load("tax_p1")
+            assert gold.sentences[0].forms is not system.sentences[0].forms
+            assert gold.sentences[0].forms == system.sentences[0].forms
+            assert len(align(gold, system).sentences[0].pairs) == 1
 
     @pytest.mark.parametrize("change", ["form", "length"])
     def test_distinct_token_lists_that_differ_keep_their_message(self, change):
@@ -633,7 +659,7 @@ class TestAlign:
 
         def record(pairs, metrics, mode):
             pairs = list(pairs)
-            shared.extend(g.tokens is s.tokens for _, g, s in pairs)
+            shared.extend(g.forms is s.forms for _, g, s in pairs)
             return score_pairs(pairs, metrics, mode)
 
         with mock.patch.object(cli, "score_pairs", side_effect=record), \

@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -633,3 +633,50 @@ class TestLabelSpelling:
             expected = score_pairs(_corpus_pairs(*short), metrics, mode)
             for pair in (other, (other[0], short[1]), (short[0], other[1])):
                 assert score_pairs(_corpus_pairs(*pair), metrics, mode) == expected
+
+
+class TestSplitAndOrder:
+    """Each sentence's counts add up: scoring any two parts of a corpus, and
+    summing, gives the whole's predicate counts, argument counts and per_label,
+    and scoring the sentences in another order, gold and system alike, gives
+    the same counts. Gold is all sensed or all sense-less, because a mix
+    raises MissingGoldSense for the whole corpus but not for a part of it."""
+
+    N = 12
+
+    @staticmethod
+    def tallies(report) -> Counter:
+        """(row, field) -> count, for the predicate and argument rows and each label."""
+        rows = [("predicates", report.predicate_counts), ("arguments", report.argument_counts)]
+        rows += [(("label", label), c) for label, c in report.per_label.items()]
+        return Counter({(row, field): getattr(c, field) for row, c in rows
+                        for field in ("correct", "predicted", "gold")})
+
+    @staticmethod
+    def score(gold: list, system: list, metrics: tuple[str, ...], mode: str) -> list:
+        return score_pairs(_corpus_pairs(Corpus(gold, mode), Corpus(system, mode)),
+                           metrics, mode)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans(), part=st.integers(0, 2**N - 1),
+           order=st.permutations(range(N)))
+    def test_parts_sum_to_the_whole_in_any_order(self, seed, mode, with_sense, part, order):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=self.N, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense).sentences
+        system = perturb_corpus(rng, Corpus(gold, mode)).sentences
+        # bit i of part puts sentence i + 1 in the first part
+        first = [i for i in range(self.N) if part >> i & 1]
+        second = [i for i in range(self.N) if not part >> i & 1]
+        for metrics in [(metric,) for metric in METRICS] + [("primesrl", "legacy_" + mode)]:
+            whole = self.score(gold, system, metrics, mode)
+            pieces = [self.score([gold[i] for i in indices], [system[i] for i in indices],
+                                 metrics, mode) for indices in (first, second, order)]
+            for report, *piece in zip(whole, *pieces):
+                added = self.tallies(piece[0])
+                added.update(self.tallies(piece[1]))
+                assert added == self.tallies(report)
+                assert self.tallies(piece[2]) == self.tallies(report)
+                for indices, scored in zip((first, second, order), piece):
+                    assert scored.per_sentence == [report.per_sentence[i] for i in indices]
