@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -21,6 +22,8 @@ from .conll import (
     _conll09_reader,
     _count_mismatch,
     _pair_blocks,
+    _repeated,
+    _sense_rows,
     _sense_sidecar,
     _sentence_forms,
 )
@@ -45,7 +48,7 @@ def _bold(text: str) -> str:
     return "\033[1m%s\033[0m" % text
 
 
-_CHUNK = 1 << 16  # bytes read from an input at a time
+_CHUNK = 1 << 13  # bytes read from an input at a time
 
 
 def _pieces(handle):
@@ -99,7 +102,8 @@ def _bad_byte(handle, path: str, offset: int) -> ParseError:
 
 
 def _read(path: str, files: contextlib.ExitStack):
-    """The text of the file at ``path`` as ``_decoded`` gives it.
+    """A function that gives the text of the file at ``path`` as ``_decoded``
+    gives it, from its start at each call.
 
     The file is opened, into ``files``, and decoded whole first, keeping no
     text, so that a file that cannot be read or decoded fails here rather than
@@ -113,7 +117,7 @@ def _read(path: str, files: contextlib.ExitStack):
         collections.deque(_decoded(handle, path), maxlen=0)
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
-    return _decoded(handle, path)
+    return functools.partial(_decoded, handle, path)
 
 
 def _words(fmt: str, words: str | None, files: contextlib.ExitStack):
@@ -122,17 +126,45 @@ def _words(fmt: str, words: str | None, files: contextlib.ExitStack):
         return None
     if words is None:
         raise ConfigError("--format conll05 requires --words TOKEN_FILE")
-    return _sentence_forms(_blocks(_read(words, files)))
+    return _sentence_forms(_blocks(_read(words, files)()))
+
+
+def _in_sentence_order(pieces, path: str) -> bool:
+    """Whether the sentence numbers of a sidecar text, given as ``_rows`` takes
+    it, never decrease in file order. The rows before the first decrease are
+    checked as ``_sense_sidecar`` checks them, keeping only the current
+    sentence's tokens, as a repeated key can only be in the same sentence; the
+    rows after it are left to ``_sense_sidecar``."""
+    sentence, tokens = None, set()
+    for key, _, lineno in _sense_rows(pieces, path):
+        if key[0] != sentence:
+            if sentence is not None and key[0] < sentence:
+                return False
+            sentence, tokens = key[0], set()
+        if key[1] in tokens:
+            raise _repeated(key, lineno, path)
+        tokens.add(key[1])
+    return True
 
 
 def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack):
     """The unparsed sentence blocks of one input file and the function that
     parses each of them in turn; ``words`` is what ``_words`` returned, and
-    the files read stay open in ``files``."""
+    the files read stay open in ``files``.
+
+    A sense sidecar is checked whole first. When its sentence numbers never
+    decrease, the pass reads it again a sentence at a time; otherwise it is
+    held whole."""
     if fmt == "conll09":
-        return _conll09_reader(_read(path, files), path)
-    sidecar = {} if senses is None else _sense_sidecar(_read(senses, files), path=senses)
-    return _conll05_reader(words, _read(path, files), sidecar, path)
+        return _conll09_reader(_read(path, files)(), path)
+    sidecar, rows = {}, ()
+    if senses is not None:
+        text = _read(senses, files)
+        if _in_sentence_order(text(), senses):
+            rows = _sense_rows(text(), senses)
+        else:
+            sidecar = _sense_sidecar(text(), senses)
+    return _conll05_reader(words, _read(path, files)(), sidecar, path, rows)
 
 
 def _mode(fmt: str) -> str:

@@ -8,7 +8,6 @@ column per target verb, plus a separate one-token-per-line words file).
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -131,7 +130,7 @@ class Corpus:
     mode: str  # "head" | "span"
 
 
-_CHUNK = 1 << 16  # characters split into lines at a time
+_CHUNK = 1 << 13  # characters split into lines at a time
 
 
 def _chunks(text: str):
@@ -319,9 +318,9 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     return _sense_sidecar(_chunks(text), path)
 
 
-def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
-    """``parse_sense_sidecar`` of a text given as ``_rows`` takes it."""
-    senses: dict[tuple[int, int], SenseLabel] = {}
+def _sense_rows(pieces, path: str | None = None):
+    """((sentence, token), sense, line) for every row of a sense sidecar text,
+    given as ``_rows`` takes it, in file order; ParseError for a bad row."""
     labels: dict[str, SenseLabel] = {}
     for lineno, line in _rows(pieces):
         if not line or line[0] == "#":
@@ -337,9 +336,20 @@ def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], Sen
                 sense = labels[parts[2]] = SenseLabel.parse(parts[2])
         except (ValueError, LabelError) as exc:
             raise ParseError(str(exc), line=lineno, path=path)
+        yield key, sense, lineno
+
+
+def _repeated(key: tuple[int, int], lineno: int, path: str | None) -> ParseError:
+    return ParseError("sentence %d, token %d already has a sense row" % key,
+                      line=lineno, path=path)
+
+
+def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
+    """``parse_sense_sidecar`` of a text given as ``_rows`` takes it."""
+    senses: dict[tuple[int, int], SenseLabel] = {}
+    for key, sense, lineno in _sense_rows(pieces, path):
         if key in senses:
-            raise ParseError("sentence %d, token %d already has a sense row" % key,
-                             line=lineno, path=path)
+            raise _repeated(key, lineno, path)
         senses[key] = sense
     return senses
 
@@ -348,19 +358,23 @@ def _sentence_forms(word_blocks):
     """One forms tuple per sentence block of a words file, as ``_conll05_reader``
     takes them; readers given the same tuples share them."""
     for words in word_blocks:
-        yield tuple(map(operator.itemgetter(1), words))
+        # tuple() of a map resizes a 10-item tuple; freed, it would be kept as a
+        # spare of its final length, and those spares grow with the corpus
+        yield tuple([form for _, form in words])
 
 
 def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLabel],
-                    path: str | None = None):
+                    path: str | None = None, rows=()):
     """The unparsed (sentence number, forms, props block) triples of a words
     file's ``_sentence_forms`` and a CoNLL-2005 props text, given as ``_rows``
     takes it, and the function that parses one; the sentence it returns holds
     that very forms tuple.
 
-    Each predicate pops its row from ``senses``. Unequal sentence counts are a
-    ParseError, raised as the shorter side ends; so is a sense row that names
-    no predicate, raised once the pairs end.
+    Each predicate pops its row from ``senses``. ``rows``, ``_sense_rows`` of a
+    sidecar in sentence order, are added to ``senses`` a sentence at a time,
+    as its triple is drawn. Unequal sentence counts are a ParseError, raised as
+    the shorter side ends; so is a sense row that names no predicate, the first
+    in file order, raised once the pairs end.
     """
     # per reader, as in _conll09_reader: props cell -> its (opened, closed)
     # groups, and (opened label text, first row, last row) -> one span part
@@ -442,10 +456,18 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
                           % (_sentences(n_words), n_props), path=path)
 
     def pairs():
-        yield from _pair_blocks(sentence_forms, _blocks(props), mismatch)
-        if senses:
+        ahead = iter(rows)
+        row = next(ahead, None)
+        for triple in _pair_blocks(sentence_forms, _blocks(props), mismatch):
+            while row is not None and row[0][0] <= triple[0]:
+                senses[row[0]] = row[1]
+                row = next(ahead, None)
+            yield triple
+        # rows left in senses came before those not yet taken
+        unclaimed = next(iter(senses), None) or row and row[0]
+        if unclaimed:
             raise ParseError("sense row for sentence %d, token %d names no predicate"
-                             % next(iter(senses)), path=path)
+                             % unclaimed, path=path)
     return pairs(), parse
 
 

@@ -217,4 +217,4 @@ class ScoreReport:
     predicate_counts: EvalCounts
     argument_counts: EvalCounts
     per_label: dict[str, EvalCounts]
-    per_sentence: list[EvalCounts]  # one entry per aligned sentence, in order
+    per_sentence: list[EvalCounts]  # per aligned sentence, in order; only evaluate fills it

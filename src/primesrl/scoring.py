@@ -12,6 +12,7 @@ Metrics:
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ CORRECT, PREDICTED, GOLD = range(3)  # fields of a [correct, predicted, gold] ta
 def _score_predicates(aligned: AlignedCorpus, rule) -> EvalCounts:
     """Count aligned predicates with the scoring core and no units; `rule` None
     credits every pair."""
-    run = (lambda pred: [], (), rule, [0, 0, 0], {}, [])
+    run = (lambda pred: [], (), rule, [0, 0, 0], {}, None)
     _score_aligned(aligned.sentences, [run])
     return EvalCounts(*run[3])
 
@@ -164,9 +165,10 @@ METRICS = {
 
 
 def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: list[int],
-                    labels: dict[str, list[int]], per_sentence: list[EvalCounts]) -> None:
-    """Tally one aligned sentence's predicates into `predicates`, its units into
-    `labels` (label -> tally) and its own argument tally into `per_sentence`."""
+                    labels: dict[str, list[int]], record) -> None:
+    """Tally one aligned sentence's predicates into `predicates` and its units
+    into `labels` (label -> tally); pass its own argument tally to `record`
+    unless that is None."""
     total = [0, 0, 0]
     predicates[PREDICTED] += len(sent.pairs) + len(sent.spurious)
     predicates[GOLD] += len(sent.pairs) + len(sent.missed)
@@ -206,15 +208,17 @@ def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: lis
         for keep in filters:
             matched = keep(matched, credited)
         add(matched, CORRECT)
-    per_sentence.append(EvalCounts(*total))
+    if record is not None:
+        record(EvalCounts(*total))
 
 
 def _score_aligned(sentences, runs: list[tuple]) -> None:
     """Tally aligned sentences, drawn one at a time, into each run: (unit builder,
     argument filters, predicate rule, predicate tally, label -> tally defaultdict,
-    per-sentence records). Gold without senses credits every pair; as that is a
-    whole-corpus question, gold mixing sensed and sense-less predicates raises
-    MissingGoldSense at the end when some run has a predicate rule."""
+    per-sentence record function or None). Gold without senses credits every
+    pair; as that is a whole-corpus question, gold mixing sensed and sense-less
+    predicates raises MissingGoldSense at the end when some run has a predicate
+    rule."""
     sensed = False  # whether some gold predicate has a sense
     unsensed = None  # (sentence, anchor) of the first gold predicate without one
     for sent in sentences:
@@ -278,14 +282,17 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # ---------------------------------------------------------------------------
 # dispatch
 
-def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]:
+def score_pairs(pairs, metrics: tuple[str, ...], mode: str, sink=None) -> list[ScoreReport]:
     """Align and score (n, gold, system) sentence triples in one pass; one report per metric.
 
     Pairs are drawn, aligned and scored one at a time, so an error raised
-    while drawing or aligning sentence k stops the pass there.
+    while drawing or aligning sentence k stops the pass there. ``sink``, when
+    given, is called as ``sink(metric, counts)`` with each sentence's argument
+    counts, in order; the reports keep no per-sentence records.
     """
     # one _score_aligned run per metric
-    runs = [(*METRICS[metric], [0, 0, 0], defaultdict(lambda: [0, 0, 0]), []) for metric in metrics]
+    runs = [(*METRICS[metric], [0, 0, 0], defaultdict(lambda: [0, 0, 0]),
+             None if sink is None else functools.partial(sink, metric)) for metric in metrics]
     _score_aligned((_align_sentence(*triple) for triple in pairs), runs)
     # every unit is in exactly one label's tally
     return [ScoreReport(metric=metric, mode=mode,
@@ -293,12 +300,16 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str) -> list[ScoreReport]
                         argument_counts=EvalCounts(*map(sum, zip([0, 0, 0], *labels.values()))),
                         per_label={label: EvalCounts(*labels[label])
                                    for label in sorted(labels, key=label_sort_key)},
-                        per_sentence=per_sentence)
-            for metric, (_, _, _, predicates, labels, per_sentence) in zip(metrics, runs)]
+                        per_sentence=[])
+            for metric, (_, _, _, predicates, labels, _) in zip(metrics, runs)]
 
 
 def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:
     """Score a gold/system pair with one metric; the report takes the gold corpus's mode."""
     if metric not in METRICS:
         raise ValueError("unknown metric %r" % metric)
-    return score_pairs(_corpus_pairs(gold, system), (metric,), gold.mode)[0]
+    per_sentence: list[EvalCounts] = []
+    [report] = score_pairs(_corpus_pairs(gold, system), (metric,), gold.mode,
+                           lambda _, counts: per_sentence.append(counts))
+    report.per_sentence = per_sentence
+    return report

@@ -1,9 +1,11 @@
 import json
+import random
 import weakref
 
 import pytest
 
 from conftest import DATA
+from corpusgen import perturb_corpus, random_corpus
 from primesrl import (
     Corpus,
     PredicateInstance,
@@ -13,6 +15,7 @@ from primesrl import (
     Sentence,
     Token,
     cli,
+    conll,
     serialize_conll05,
 )
 
@@ -312,6 +315,133 @@ class TestExitCodes:
         assert code == cli.EXIT_PARSE
         assert "parse error: %s:line 2: " % sidecar in capsys.readouterr().err
 
+
+
+class TestSenseSidecar:
+    """A sidecar whose sentence numbers never decrease is read a sentence at a
+    time during the pass, any other is held whole; both score alike and fail
+    alike, with the same message, line and exit code."""
+
+    @staticmethod
+    def sidecar_rows(corpus, order: str, rng: random.Random) -> str:
+        rows = [["%d\t%d\t%s\n" % (n, p.anchor, p.sense) for p in sentence.predicates]
+                for n, sentence in enumerate(corpus.sentences, start=1)]
+        if order == "grouped":  # by sentence, tokens in any order
+            for group in rows:
+                rng.shuffle(group)
+        rows = [row for group in rows for row in group]
+        if order == "shuffled":
+            rng.shuffle(rows)
+        return "".join(rows)
+
+    def test_row_order_leaves_every_byte_of_the_output(self, tmp_path, capsys, monkeypatch):
+        rng = random.Random(11)
+        gold = random_corpus(rng, n_sentences=30, mode="span", max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=True)
+        system = perturb_corpus(rng, gold)
+        words, gold_props = serialize_conll05(gold)
+        for name, text in (("words", words), ("gold.props", gold_props),
+                           ("sys.props", serialize_conll05(system)[1])):
+            (tmp_path / name).write_text(text)
+        held = []
+        monkeypatch.setattr(cli, "_sense_sidecar",
+                            lambda *args: held.append(1) or conll._sense_sidecar(*args))
+        files = ["--format", "conll05", "--words", str(tmp_path / "words"),
+                 "--senses", str(tmp_path / "gold.senses"),
+                 "--senses-system", str(tmp_path / "sys.senses"),
+                 str(tmp_path / "gold.props"), str(tmp_path / "sys.props")]
+        report = tmp_path / "report.json"
+        outputs = []
+        for order in ("sorted", "grouped", "shuffled"):
+            held.clear()
+            for name, corpus in (("gold.senses", gold), ("sys.senses", system)):
+                (tmp_path / name).write_text(self.sidecar_rows(corpus, order, rng))
+            assert run(["evaluate", "--per-label", "--json", str(report)] + files) == 0
+            assert run(["compare"] + files) == 0
+            outputs.append((capsys.readouterr(), report.read_bytes()))
+            # a shuffled sidecar is held whole: both sides, in both runs
+            assert len(held) == (4 if order == "shuffled" else 0)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0][0].err == ""
+
+    LEAD = "1\t7\tlead.01\n2\t7\tlead.01\n"
+
+    @pytest.fixture
+    def lead(self, tmp_path, capsys):
+        """Three sentences: two lead sentences, each with its predicate at token
+        7, and a two-token sentence without predicates; returns a function that
+        runs evaluate with a gold sidecar of the given text."""
+        words = tmp_path / "three.words"
+        words.write_text((DATA / "lead.words").read_text() * 2 + "a\nb\n\n")
+        props = tmp_path / "gold.props"
+        props.write_text((DATA / "lead_gold.props").read_text() * 2 + "-\n-\n\n")
+        sidecar = tmp_path / "gold.senses"
+
+        def evaluate(rows: str, gold: str | None = None):
+            sidecar.write_text(rows)
+            if gold is not None:
+                props.write_text(gold)
+            code = run(["evaluate", "--format", "conll05", "--words", str(words),
+                        "--senses", str(sidecar), str(props), str(props)])
+            out, err = capsys.readouterr()
+            assert out == ""
+            return code, err.replace(str(sidecar), "SENSES").replace(str(props), "PROPS")
+        return evaluate
+
+    REPEATED = "parse error: SENSES:line %d: sentence %d, token %d already has a sense row\n"
+    BAD = "parse error: SENSES:line %d: expected 3 fields (sentence, token, lemma.sense)\n"
+
+    @pytest.mark.parametrize("rows, expected", [
+        ("1\t7\tlead.01\n1\t7\tlead.02\n2\t7\tlead.01\n", REPEATED % (2, 1, 7)),
+        ("1\t7\tlead.01\n1\t3\tx.01\n# c\n1\t7\tlead.02\n", REPEATED % (4, 1, 7)),
+        # sentence numbers decrease, so the sidecar is held whole
+        ("1\t7\tlead.01\n2\t7\tlead.01\n1\t7\tlead.02\n", REPEATED % (3, 1, 7)),
+        ("2\t7\tlead.01\n1\t7\tlead.01\n\n2\t7\tlead.02\n", REPEATED % (4, 2, 7)),
+        # a bad row after a repeated key
+        ("1\t7\tlead.01\n1\t7\tlead.02\n1\t7\n", REPEATED % (2, 1, 7)),
+        ("2\t7\tlead.01\n1\t7\tlead.01\n2\t7\tlead.02\n1 7\n", REPEATED % (3, 2, 7)),
+        # a bad row before it, on either side of a decrease
+        ("1\t7\tlead.01\n1\t7\n1\t7\tlead.02\n", BAD % 2),
+        ("2\t7\tlead.01\n1\t7\tlead.01\n1\t7\n2\t7\tlead.02\n", BAD % 3),
+        ("1\t7\tlead.01\n2\tx\tlead.01\n",
+         "parse error: SENSES:line 2: invalid literal for int() with base 10: 'x'\n"),
+        ("1\t7\tlead\n", "parse error: SENSES:line 1: sense label 'lead' has no '.' separator\n"),
+    ], ids=["adjacent", "apart", "apart-unsorted", "apart-unsorted-blank", "bad-after",
+            "bad-after-unsorted", "bad-before", "bad-after-decrease", "not-a-number",
+            "bad-label"])
+    def test_bad_sidecar_rows(self, lead, rows, expected):
+        assert lead(rows) == (cli.EXIT_PARSE, expected)
+
+    NO_PREDICATE = "parse error: PROPS: sense row for sentence %d, token %d names no predicate\n"
+
+    @pytest.mark.parametrize("rows, key", [
+        (LEAD.replace("2\t7", "2\t6"), (2, 6)),  # a token that is no anchor
+        ("0\t7\tlead.01\n" + LEAD, (0, 7)),
+        ("-1\t7\tlead.01\n" + LEAD, (-1, 7)),
+        (LEAD + "4\t7\tlead.01\n", (4, 7)),  # past the last sentence
+        (LEAD + "3\t1\ta.01\n", (3, 1)),  # a sentence without predicates
+        # the first unclaimed row in file order, whatever else follows
+        ("1\t6\tlead.01\n" + LEAD + "9\t1\ta.01\n", (1, 6)),
+        ("2\t2\ta.01\n1\t7\tlead.01\n2\t7\tlead.01\n0\t1\ta.01\n", (2, 2)),
+        ("2\t7\tlead.01\n1\t7\tlead.01\n5\t1\ta.01\n", (5, 1)),
+    ], ids=["token-off", "sentence-0", "negative", "past-the-end", "no-predicates",
+            "first-of-two", "first-of-two-unsorted", "unsorted-past-the-end"])
+    def test_sidecar_row_that_names_no_predicate(self, lead, rows, key):
+        assert lead(rows) == (cli.EXIT_PARSE, self.NO_PREDICATE % key)
+
+    def test_props_error_wins_over_a_row_that_names_no_predicate(self, lead):
+        # the sentence 1 row is unclaimed, but the pass ends at sentence 2's props
+        props = (DATA / "lead_gold.props").read_text()
+        gold = props + props.replace("(V*)", "(V*", 1) + "-\n-\n\n"
+        code, err = lead(self.LEAD.replace("1\t7", "1\t6"), gold)
+        assert code == cli.EXIT_PARSE
+        assert err == "parse error: PROPS:line 18: span A4 opened inside an open V span\n"
+
+    def test_sidecar_error_wins_over_a_props_error(self, lead):
+        # the sidecar is checked whole before the first sentence is parsed
+        props = (DATA / "lead_gold.props").read_text()
+        gold = props + props.replace("(V*)", "(V*", 1) + "-\n-\n\n"
+        assert lead(self.LEAD + "3\t1\n", gold) == (cli.EXIT_PARSE, self.BAD % 3)
 
 
 def test_split_lets_each_item_go_once_both_sides_took_it():

@@ -372,6 +372,58 @@ class TestParseSpan:
         assert parsed == expected
         assert [s.predicates[0].sense.sense_id for s in parsed] == ["01", "02", "03"]
 
+    # sidecar rows over sentences 0-4 and tokens 1-5 of the three sentences
+    # above, some of them bad, repeated or naming no predicate
+    SIDECAR_ROWS = st.lists(st.tuples(st.integers(0, 4), st.integers(1, 5),
+                                      st.sampled_from(["be.01", "be.02", "be", "# c", ""])),
+                            max_size=8)
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except ParseError as exc:
+            return str(exc)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(rows=SIDECAR_ROWS)
+    def test_sidecar_scan_fails_as_the_whole_sidecar_does(self, rows):
+        # up to the first decrease of its sentence numbers; after it, the CLI
+        # loads the sidecar whole
+        text = "".join("%d\t%d\t%s\n" % row if row[2][:1] != "#" else row[2] + "\n"
+                       for row in rows)
+        whole = self.outcome(lambda: parse_sense_sidecar(text, path="s"))
+        scan = self.outcome(lambda: cli._in_sentence_order([text], path="s"))
+        sentences = [n for n, _, sense in rows if "." in sense]
+        if scan is False:
+            assert sentences != sorted(sentences)
+        else:
+            assert scan == (True if isinstance(whole, dict) else whole)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(rows=SIDECAR_ROWS, data=st.data())
+    def test_sidecar_read_a_sentence_at_a_time(self, rows, data):
+        # rows grouped by sentence, tokens in any order, parse as the whole
+        # sidecar does, with the same error when a row names no predicate
+        rows = [row for row in sorted(rows, key=lambda row: row[0]) if "." in row[2]]
+        text = "".join("%d\t%d\t%s\n" % row for row in rows)
+        if not isinstance(self.outcome(lambda: parse_sense_sidecar(text)), dict):
+            return  # a repeated key
+        words = "\n".join([self.WORDS] * 3)
+        props = "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3)
+        order = data.draw(st.permutations(range(3)))
+
+        def parse(senses, rows):
+            blocks, parse = conll._conll05_reader(conll._sentence_forms(conll._blocks([words])),
+                                                  [props], senses, "s.props", rows)
+            triples = list(itertools.islice(blocks, 3))  # drawn, then parsed in any order
+            parsed = [parse(triples[i]) for i in order]
+            assert next(blocks, None) is None  # or a row that names no predicate
+            return parsed
+
+        whole = self.outcome(lambda: parse(parse_sense_sidecar(text), ()))
+        assert self.outcome(lambda: parse({}, conll._sense_rows([text]))) == whole
+
 
 class TestSerialize:
     def test_head_round_trip(self):

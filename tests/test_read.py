@@ -23,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import DATA
 from corpusgen import perturb_corpus, random_corpus
-from primesrl import cli, conll, serialize_conll09
+from primesrl import cli, conll, serialize_conll05, serialize_conll09
+from test_conll import sidecar
 
 TEXTS = [
     "a\r\nb\r\n\r\nc\n",      # \r\n across every chunk edge
@@ -40,7 +41,10 @@ def _rows_read(tmp: Path, text: str, chunk: int) -> list:
     path = tmp / "input"
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(cli, "_CHUNK", chunk), contextlib.ExitStack() as files:
-        return list(conll._rows(cli._read(str(path), files)))
+        text = cli._read(str(path), files)
+        rows = list(conll._rows(text()))
+        assert list(conll._rows(text())) == rows  # each call reads from the start
+        return rows
 
 
 def _expected(text: str) -> list:
@@ -96,16 +100,10 @@ def _main(argv: list[str], capsys) -> tuple[int, str, str]:
     return code, out, err
 
 
-def test_pipe_scores_as_the_regular_file(tmp_path, capsys):
-    # more than a pipe's buffer, so the writer blocks until the reader drains it
-    gold, system = tmp_path / "gold.conll", tmp_path / "system.conll"
-    gold.write_bytes((DATA / "buy_gold.conll").read_bytes() * 400)
-    data = (DATA / "buy_p1.conll").read_bytes() * 400
-    system.write_bytes(data)
-    assert len(data) > 1 << 16
-    expected = _main(["evaluate", "--per-label", str(gold), str(system)], capsys)
-
-    fifo = tmp_path / "system.fifo"
+def _through_a_pipe(argv: list[str], i: int, capsys) -> tuple[int, str, str]:
+    """``_main(argv)`` with the file ``argv[i]`` fed through a named pipe."""
+    data = Path(argv[i]).read_bytes()
+    fifo = Path(argv[i] + ".fifo")
     os.mkfifo(fifo)
 
     def feed():
@@ -115,12 +113,32 @@ def test_pipe_scores_as_the_regular_file(tmp_path, capsys):
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     try:
-        assert _main(["evaluate", "--per-label", str(gold), str(fifo)], capsys) == expected
+        result = _main(argv[:i] + [str(fifo)] + argv[i + 1:], capsys)
     finally:
         writer.join(timeout=10)
         if writer.is_alive():  # the reader never opened the pipe: let the writer fail
             os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
     assert not writer.is_alive()
+    return result
+
+
+def test_pipe_scores_as_the_regular_file(tmp_path, capsys):
+    # more than a pipe's buffer, so the writer blocks until the reader drains it
+    gold, system = tmp_path / "gold.conll", tmp_path / "system.conll"
+    gold.write_bytes((DATA / "buy_gold.conll").read_bytes() * 400)
+    system.write_bytes((DATA / "buy_p1.conll").read_bytes() * 400)
+    assert system.stat().st_size > 1 << 16
+    argv = ["evaluate", "--per-label", str(gold), str(system)]
+    expected = _main(argv, capsys)
+    assert _through_a_pipe(argv, 3, capsys) == expected
+    assert expected[0] == cli.EXIT_OK
+
+
+def test_sidecar_pipe_scores_as_the_regular_file(tmp_path, capsys):
+    # the sidecar is read twice, the second time a sentence at a time
+    argv = _closing_run(cli.EXIT_OK, tmp_path)
+    expected = _main(argv, capsys)
+    assert _through_a_pipe(argv, argv.index("--senses") + 1, capsys) == expected
     assert expected[0] == cli.EXIT_OK
 
 
@@ -178,6 +196,23 @@ def _corpus(tmp: Path, n_sentences: int) -> list[str]:
     return ["evaluate", str(tmp / "gold.conll"), str(tmp / "sys.conll")]
 
 
+def _span_corpus(tmp: Path, n_sentences: int) -> list[str]:
+    """``compare`` arguments, both sidecars included, for a generated span corpus."""
+    tmp.mkdir()
+    rng = random.Random(53)
+    gold = random_corpus(rng, n_sentences, mode="span", max_tokens=30, max_preds=5,
+                         max_args=6, with_sense=True)
+    files = dict(zip(("words", "gold.props"), serialize_conll05(gold)))
+    system = perturb_corpus(rng, gold)
+    files.update({"sys.props": serialize_conll05(system)[1], "gold.senses": sidecar(gold),
+                  "sys.senses": sidecar(system)})
+    for name, text in files.items():
+        (tmp / name).write_text(text, encoding="utf-8")
+    return ["compare", "--format", "conll05", "--words", str(tmp / "words"),
+            "--senses", str(tmp / "gold.senses"), "--senses-system", str(tmp / "sys.senses"),
+            str(tmp / "gold.props"), str(tmp / "sys.props")]
+
+
 # one warm-up run, then the tracemalloc peak of a second one; a fresh interpreter
 # per corpus, so both start from the same state. CPython 3.11 keeps up to 2,000
 # freed 20-item tuples (one per 20-token column) that it never hands out again;
@@ -203,5 +238,13 @@ def _peak(argv: list[str]) -> int:
 def test_peak_memory_does_not_grow_with_the_corpus(tmp_path):
     small, large = _corpus(tmp_path / "small", 200), _corpus(tmp_path / "large", 2000)
     growth = _peak(large) - _peak(small)
-    # what still grows is one EvalCounts per sentence in the report
-    assert growth <= Path(large[1]).stat().st_size / 4, growth
+    # the CLI keeps no record per sentence; what may grow is per-reader tables
+    assert growth <= Path(large[1]).stat().st_size / 12, growth
+
+
+def test_span_peak_memory_does_not_grow_with_the_corpus(tmp_path):
+    small, large = _span_corpus(tmp_path / "small", 200), _span_corpus(tmp_path / "large", 2000)
+    growth = _peak(large) - _peak(small)
+    # each sidecar is taken a sentence at a time; what may grow is per-reader
+    # tables, such as the conll05 reader's table of distinct spans
+    assert growth <= 2 * Path(large[-2]).stat().st_size, growth

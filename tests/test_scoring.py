@@ -56,6 +56,16 @@ TAX_CASES = ("gold", "p1", "p2", "p3", "p4", "p5", "p6", "p7")
 LEAD_CASES = ("gold", "p1", "p2", "p3", "p4", "p5", "p6")
 
 
+def kept(pairs, metrics: tuple[str, ...], mode: str) -> list:
+    """``score_pairs`` with a sink that fills each report's ``per_sentence``."""
+    per_sentence = defaultdict(list)
+    reports = score_pairs(pairs, metrics, mode,
+                          lambda metric, c: per_sentence[metric].append(c))
+    for report in reports:
+        report.per_sentence = per_sentence[report.metric]
+    return reports
+
+
 def single_pred_corpus(sense):
     label = SenseLabel.parse(sense) if sense else None
     token = Token(1, "stares")
@@ -402,6 +412,21 @@ class TestEvaluateDispatch:
                   sum(c.gold for c in report.per_sentence))
         assert folded == counts(report.argument_counts)
 
+    def test_per_sentence_records_go_only_to_a_sink(self):
+        gold = Corpus(load_span("tax", "tax_gold").sentences * 3, mode="span")
+        system = Corpus(load_span("tax", "tax_p1").sentences * 3, mode="span")
+        metrics = ("legacy_span", "primesrl")
+        calls = []
+        reports = score_pairs(_corpus_pairs(gold, system), metrics, "span",
+                              lambda metric, c: calls.append((metric, c)))
+        assert [report.per_sentence for report in reports] == [[], []]
+        assert score_pairs(_corpus_pairs(gold, system), metrics, "span") == reports
+        # once per sentence and metric, in sentence order
+        assert [metric for metric, _ in calls] == list(metrics) * 3
+        for metric in metrics:
+            assert ([c for m, c in calls if m == metric]
+                    == evaluate(gold, system, metric).per_sentence)
+
     def test_per_label_totals_match_the_overall_counts(self):
         report = evaluate(load_head("tax_gold"), load_head("tax_p1"), "primesrl")
         total = (sum(c.correct for c in report.per_label.values()),
@@ -421,7 +446,7 @@ class TestFilterChain:
     @classmethod
     def check(cls, gold: Corpus, system: Corpus) -> None:
         runs = [(_strict_units, chain, _lemma_and_sense, [0, 0, 0],
-                 defaultdict(lambda: [0, 0, 0]), []) for chain in cls.CHAINS]
+                 defaultdict(lambda: [0, 0, 0]), None) for chain in cls.CHAINS]
         _score_aligned(align(gold, system).sentences, runs)
         none, sense, sense_ref, ref_sense = (run[4] for run in runs)
         for row in (sense, sense_ref, ref_sense):
@@ -491,8 +516,8 @@ class TestAgreeingPairs:
                    for sentence in align(gold, system).sentences for gp, sp in sentence.pairs)
         # each row alone, and the two metrics of compare in one pass
         for metrics in [(metric,) for metric in METRICS] + [("primesrl", "legacy_" + mode)]:
-            assert (score_pairs(_corpus_pairs(gold, system), metrics, mode)
-                    == score_pairs(_corpus_pairs(gold, reordered), metrics, mode))
+            assert (kept(_corpus_pairs(gold, system), metrics, mode)
+                    == kept(_corpus_pairs(gold, reordered), metrics, mode))
 
     @settings(max_examples=30, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]))
@@ -630,9 +655,9 @@ class TestLabelSpelling:
         short = [self.read(gold, False, bare), self.read(system, False, bare)]
         other = [self.read(gold, True, bare), self.read(system, True, bare)]
         for metrics in [(metric,) for metric in METRICS] + [("legacy_" + mode, "primesrl")]:
-            expected = score_pairs(_corpus_pairs(*short), metrics, mode)
+            expected = kept(_corpus_pairs(*short), metrics, mode)
             for pair in (other, (other[0], short[1]), (short[0], other[1])):
-                assert score_pairs(_corpus_pairs(*pair), metrics, mode) == expected
+                assert kept(_corpus_pairs(*pair), metrics, mode) == expected
 
 
 class TestSplitAndOrder:
@@ -654,8 +679,7 @@ class TestSplitAndOrder:
 
     @staticmethod
     def score(gold: list, system: list, metrics: tuple[str, ...], mode: str) -> list:
-        return score_pairs(_corpus_pairs(Corpus(gold, mode), Corpus(system, mode)),
-                           metrics, mode)
+        return kept(_corpus_pairs(Corpus(gold, mode), Corpus(system, mode)), metrics, mode)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),

@@ -70,8 +70,13 @@ def _streamed_reports(argv: list[str]) -> list:
     """Run the CLI; return the reports its scoring pass produced."""
     reports = []
 
+    # the CLI passes no sink; this one keeps what evaluate keeps
     def record(pairs, metrics, mode):
-        reports.extend(score_pairs(pairs, metrics, mode))
+        per_sentence = {metric: [] for metric in metrics}
+        reports.extend(score_pairs(pairs, metrics, mode,
+                                   lambda metric, c: per_sentence[metric].append(c)))
+        for report in reports:
+            report.per_sentence = per_sentence[report.metric]
         return reports
 
     with mock.patch.object(cli, "score_pairs", side_effect=record), \
@@ -113,6 +118,43 @@ def test_streamed_scores_equal_the_library(seed, mode, with_sense):
         assert [r.metric for r in streamed] == [legacy, "primesrl"]
         for report in streamed:
             _same(report, library[report.metric])
+
+
+def _columns_permuted(corpus, props: str, rng: random.Random) -> tuple[str, str]:
+    """``props``, as ``serialize_conll05`` wrote it for ``corpus``, with the
+    predicate columns of each sentence in a random order, and the sidecar of
+    ``corpus`` with each sentence's rows in that column order."""
+    sentences, rows = [], []
+    for n, (sentence, block) in enumerate(zip(corpus.sentences, props.split("\n\n")), start=1):
+        cells = [line.split("\t") for line in block.split("\n") if line]
+        order = list(range(1, len(cells[0])))
+        rng.shuffle(order)
+        sentences.append("".join("\t".join([c[0]] + [c[j] for j in order]) + "\n"
+                                 for c in cells))
+        # column j holds the j-th predicate in anchor order
+        predicates = sorted(sentence.predicates, key=lambda p: p.anchor)
+        rows += ["%d\t%d\t%s\n" % (n, predicates[j - 1].anchor, predicates[j - 1].sense)
+                 for j in order if predicates[j - 1].sense is not None]
+    return "\n".join(sentences), "".join(rows)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_sense=st.booleans())
+def test_conll05_column_order_leaves_every_count(seed, with_sense):
+    # the sidecar rows then come out of anchor order within each sentence
+    rng = random.Random(seed)
+    gold = random_corpus(rng, n_sentences=12, mode="span", max_tokens=20, max_preds=4,
+                         max_args=5, with_sense=with_sense)
+    system = perturb_corpus(rng, gold)
+    with tempfile.TemporaryDirectory() as tmp:
+        io_args, _, _ = _write(Path(tmp), gold, system)
+        expected = _streamed_reports(["compare", *io_args])
+        for name, corpus in (("gold", gold), ("sys", system)):
+            props, senses = _columns_permuted(corpus, Path(tmp, name + ".props").read_text(),
+                                              rng)
+            Path(tmp, name + ".props").write_text(props)
+            Path(tmp, name + ".senses").write_text(senses)
+        assert _streamed_reports(["compare", *io_args]) == expected
 
 
 # ---------------------------------------------------------------------------
