@@ -147,10 +147,12 @@ def _in_sentence_order(pieces, path: str) -> bool:
     return True
 
 
-def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack):
+def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack,
+            known=None):
     """The unparsed sentence blocks of one input file and the function that
-    parses each of them in turn; ``words`` is what ``_words`` returned, and
-    the files read stay open in ``files``.
+    parses each of them in turn; ``words`` is what ``_words`` returned, the
+    files read stay open in ``files``, and ``known`` is the conll05 reader's
+    table of parsed props columns.
 
     A sense sidecar is checked whole first. When its sentence numbers never
     decrease, the pass reads it again a sentence at a time; otherwise it is
@@ -164,7 +166,7 @@ def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.Ex
             rows = _sense_rows(text(), senses)
         else:
             sidecar = _sense_sidecar(text(), senses)
-    return _conll05_reader(words, _read(path, files)(), sidecar, path, rows)
+    return _conll05_reader(words, _read(path, files)(), sidecar, path, rows, known)
 
 
 def _mode(fmt: str) -> str:
@@ -203,16 +205,19 @@ def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
 
     The gold file must have a sentence block before the system file is read.
     Each gold and system block pair is parsed, gold first, once it is paired;
-    in conll05, both sides share one forms tuple per sentence of the token file.
+    in conll05, both sides share one forms tuple per sentence of the token file,
+    and a system props column equal to a gold one of its sentence is parsed once.
     """
     with contextlib.ExitStack() as files:
         gold_words, system_words = _split(_words(args.format, args.words, files) or ())
-        gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses, files)
+        known: dict = {}
+        gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses, files,
+                                   known)
         first = next(gold, None)
         if first is None:
             raise ConfigError("%s: no sentences" % args.gold)
         system, parse_system = _stream(args.system, args.format, system_words,
-                                       args.senses_system, files)
+                                       args.senses_system, files, known)
         pairs = _pair_blocks(itertools.chain([first], gold), system, _count_mismatch)
         return score_pairs(((n, parse_gold(g), parse_system(s)) for n, g, s in pairs),
                            metrics, _mode(args.format))

@@ -157,19 +157,30 @@ def _rows(pieces):
 
 
 def _blocks(pieces, comments: bool = False):
-    """Yield [(line_number, stripped_line), ...] per sentence of the text in
-    ``pieces``, as ``_rows`` reads it; with ``comments``, lines that start with
-    ``#`` are skipped and do not end a sentence."""
-    block: list[tuple[int, str]] = []
-    for row in _rows(pieces):
-        if row[1]:
-            if not (comments and row[1][0] == "#"):
-                block.append(row)
-        elif block:
-            yield block
-            block = []
-    if block:
-        yield block
+    """Yield (line_numbers, lines) per sentence of the text in ``pieces``, as
+    ``_rows`` reads it: its stripped lines and their line numbers, a ``range``
+    unless a skipped line follows the block's first line. With ``comments``,
+    lines that start with ``#`` are skipped and do not end a sentence."""
+    lines: list[str] = []
+    skipped: list[int] = []  # comment lines after the block's first line
+    for lineno, line in _rows(pieces):
+        if line:
+            if not (comments and line[0] == "#"):
+                lines.append(line)
+            elif lines:
+                skipped.append(lineno)
+        elif lines:
+            yield _numbered(lines, skipped, lineno)
+            lines, skipped = [], []
+    if lines:
+        yield _numbered(lines, skipped, lineno + 1)
+
+
+def _numbered(lines: list[str], skipped: list[int], end: int):
+    """(line_numbers, lines) of a block whose lines and ``skipped`` line numbers
+    fill the lines just before line ``end``."""
+    numbers = range(end - len(lines) - len(skipped), end)
+    return (numbers if not skipped else [n for n in numbers if n not in skipped]), lines
 
 
 def _sentences(n: int) -> str:
@@ -212,12 +223,12 @@ def _conll09_reader(pieces, path: str | None = None):
     heads: dict[tuple[str, int], RawArgument] = {}
     senses: dict[str, SenseLabel] = {}
 
-    def first_problem(block: list[tuple[int, str]]) -> ParseError:
+    def first_problem(block) -> ParseError:
         """The first problem, in file order, of a block that failed a whole-column
         check: a row too short for the fixed columns, else, row by row, a row
         with the wrong number of argument columns, a wrong token id or an
         invalid label."""
-        rows = [(lineno, line.split()) for lineno, line in block]
+        rows = list(zip(block[0], map(str.split, block[1])))
         for lineno, cols in rows:
             if len(cols) < FIRST_APRED_COL:
                 return ColumnCountMismatch(
@@ -250,8 +261,9 @@ def _conll09_reader(pieces, path: str | None = None):
                         return exc
         raise AssertionError("block passes every row check")
 
-    def parse(block: list[tuple[int, str]]) -> Sentence:
-        rows = [line.split() for _, line in block]
+    def parse(block) -> Sentence:
+        numbers, lines = block
+        rows = list(map(str.split, lines))
         n = len(rows)
         widths = set(map(len, rows))
         if min(widths) < FIRST_APRED_COL:
@@ -296,9 +308,9 @@ def _conll09_reader(pieces, path: str | None = None):
                     # not cached, so every occurrence warns with its own line
                     warnings.warn(str(ParseError("predicate sense cell %r is not lemma.sense; "
                                                  "recorded as sense-missing" % cell,
-                                                 line=block[anchor - 1][0], path=path)),
+                                                 line=numbers[anchor - 1], path=path)),
                                   MalformedSenseWarning)
-            predicates.append(PredicateInstance(anchor=anchor, sense=sense, arguments=args))
+            predicates.append(PredicateInstance._parsed(anchor, sense, args))
         return Sentence._of_forms(columns[1], predicates)
 
     return _blocks(pieces, comments=True), parse
@@ -357,14 +369,12 @@ def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], Sen
 def _sentence_forms(word_blocks):
     """One forms tuple per sentence block of a words file, as ``_conll05_reader``
     takes them; readers given the same tuples share them."""
-    for words in word_blocks:
-        # tuple() of a map resizes a 10-item tuple; freed, it would be kept as a
-        # spare of its final length, and those spares grow with the corpus
-        yield tuple([form for _, form in words])
+    for _, words in word_blocks:
+        yield tuple(words)
 
 
 def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLabel],
-                    path: str | None = None, rows=()):
+                    path: str | None = None, rows=(), known=None):
     """The unparsed (sentence number, forms, props block) triples of a words
     file's ``_sentence_forms`` and a CoNLL-2005 props text, given as ``_rows``
     takes it, and the function that parses one; the sentence it returns holds
@@ -375,81 +385,99 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
     as its triple is drawn. Unequal sentence counts are a ParseError, raised as
     the shorter side ends; so is a sense row that names no predicate, the first
     in file order, raised once the pairs end.
+
+    ``known`` maps one sentence number, the last parsed, to a dict from each of
+    its props columns parsed so far to that column's (anchor, arguments).
+    Readers given the same table parse a column that repeats one of the same
+    sentence once, and share its arguments tuple.
     """
     # per reader, as in _conll09_reader: props cell -> its (opened, closed)
     # groups, and (opened label text, first row, last row) -> one span part
     labels: dict[str, RoleLabel] = {}
     cells: dict[str, tuple[str | None, str | None]] = {}
     spans: dict[tuple[str, int, int], RawArgument] = {}
+    known = {} if known is None else known
 
-    def parse(triple: tuple[int, tuple[str, ...], list[tuple[int, str]]]) -> Sentence:
-        sent_no, forms, block = triple
-        rows = [line.split() for _, line in block]
+    def parse(triple: tuple[int, tuple[str, ...], tuple]) -> Sentence:
+        sent_no, forms, (numbers, lines) = triple
+        rows = list(map(str.split, lines))
         if len(rows) != len(forms):
             raise ParseError("sentence %d: %d props rows for %d words"
                              % (sent_no, len(rows), len(forms)),
-                             line=block[0][0], path=path)
+                             line=numbers[0], path=path)
         width = len(rows[0])
         if set(map(len, rows)) != {width}:
-            lineno, cols = next((lineno, cols) for (lineno, _), cols in zip(block, rows)
+            lineno, cols = next((lineno, cols) for lineno, cols in zip(numbers, rows)
                                 if len(cols) != width)
             raise ColumnCountMismatch("expected %d columns, found %d" % (width, len(cols)),
                                       line=lineno, path=path)
 
+        parsed = known.get(sent_no)
+        if parsed is None:
+            known.clear()
+            parsed = known[sent_no] = {}
         predicates = []
         columns: dict[int, int] = {}  # anchor -> its predicate column
         for j, column in enumerate(itertools.islice(zip(*rows), 1, None), start=1):
-            parts = []
-            open_text = ""
-            open_label: RoleLabel | None = None
-            open_start = 0
-            # a "*" cell neither opens nor closes a span
-            for i, cell in itertools.compress(enumerate(column), map("*".__ne__, column)):
-                groups = cells.get(cell)
-                if groups is None:
-                    m = _PROPS_CELL.match(cell)
-                    if not m:
-                        raise ParseError("malformed props cell %r" % cell,
-                                         line=block[i][0], path=path)
-                    groups = cells[cell] = m.groups()
-                opened, closed = groups
-                if opened is not None:
-                    if open_label is not None:
-                        raise OverlappingSpan(
-                            "span %s opened inside an open %s span" % (opened, open_label),
-                            line=block[i][0], path=path)
-                    open_label = _role(labels, opened, block[i][0], path)
-                    open_text = opened
-                    open_start = i
-                if closed is not None:
-                    if open_label is None:
-                        raise UnbalancedBracket("close bracket without an open span",
-                                                line=block[i][0], path=path)
-                    part = spans.get((open_text, open_start, i))
-                    if part is None:
-                        part = spans[open_text, open_start, i] = RawArgument(
-                            label=open_label, extent=tuple(range(open_start + 1, i + 2)))
-                    parts.append(part)
-                    open_label = None
-            if open_label is not None:
-                raise UnbalancedBracket("span %s never closed" % (open_label,),
-                                        line=block[open_start][0], path=path)
-
-            anchor = next((p.extent[0] for p in parts if p.label.base == VERB_BASE), None)
-            if anchor is None:
-                raise AnchorMissing("predicate column %d has no V span" % j,
-                                    line=block[0][0], path=path)
+            known_column = parsed.get(column)
+            if known_column is None:
+                known_column = parsed[column] = walk(j, column, numbers)
+            anchor, arguments = known_column
             if anchor in columns:
                 raise ParseError("predicate columns %d and %d both anchor at token %d"
                                  % (columns[anchor], j, anchor),
-                                 line=block[anchor - 1][0], path=path)
+                                 line=numbers[anchor - 1], path=path)
             columns[anchor] = j
             sense = senses.pop((sent_no, anchor), None)
-            predicates.append(PredicateInstance(anchor=anchor, sense=sense,
-                                                arguments=tuple(parts)))
+            predicates.append(PredicateInstance._parsed(anchor, sense, arguments))
 
         predicates.sort(key=lambda p: p.anchor)
         return Sentence._of_forms(forms, predicates)
+
+    def walk(j: int, column: tuple[str, ...], numbers) -> tuple[int, tuple[RawArgument, ...]]:
+        """The anchor and span parts of props column ``j``, whose cells are on
+        lines ``numbers``."""
+        parts = []
+        open_text = ""
+        open_label: RoleLabel | None = None
+        open_start = 0
+        # a "*" cell neither opens nor closes a span
+        for i, cell in itertools.compress(enumerate(column), map("*".__ne__, column)):
+            groups = cells.get(cell)
+            if groups is None:
+                m = _PROPS_CELL.match(cell)
+                if not m:
+                    raise ParseError("malformed props cell %r" % cell,
+                                     line=numbers[i], path=path)
+                groups = cells[cell] = m.groups()
+            opened, closed = groups
+            if opened is not None:
+                if open_label is not None:
+                    raise OverlappingSpan(
+                        "span %s opened inside an open %s span" % (opened, open_label),
+                        line=numbers[i], path=path)
+                open_label = _role(labels, opened, numbers[i], path)
+                open_text = opened
+                open_start = i
+            if closed is not None:
+                if open_label is None:
+                    raise UnbalancedBracket("close bracket without an open span",
+                                            line=numbers[i], path=path)
+                part = spans.get((open_text, open_start, i))
+                if part is None:
+                    part = spans[open_text, open_start, i] = RawArgument(
+                        label=open_label, extent=tuple(range(open_start + 1, i + 2)))
+                parts.append(part)
+                open_label = None
+        if open_label is not None:
+            raise UnbalancedBracket("span %s never closed" % (open_label,),
+                                    line=numbers[open_start], path=path)
+
+        anchor = next((p.extent[0] for p in parts if p.label.base == VERB_BASE), None)
+        if anchor is None:
+            raise AnchorMissing("predicate column %d has no V span" % j,
+                                line=numbers[0], path=path)
+        return anchor, tuple(parts)
 
     def mismatch(n_words: int, n_props: int) -> ParseError:
         return ParseError("words file has %s, props file has %d"

@@ -167,6 +167,24 @@ class PredicateInstance:
                     raise ValueError("duplicate argument %s at %s" % (arg.label, arg.extent))
                 seen.add(arg)
 
+    @classmethod
+    def _parsed(cls, anchor: int, sense: SenseLabel | None,
+                arguments: tuple[RawArgument, ...]) -> PredicateInstance:
+        """The predicate as the parsers build it, without the duplicate check,
+        which no parsed column can fail: a CoNLL-2009 column has one cell per
+        token, and the CoNLL-2005 reader raises on overlapping spans."""
+        pred = cls.__new__(cls)
+        _set_anchor(pred, anchor)
+        _set_sense(pred, sense)
+        _set_arguments(pred, arguments)
+        return pred
+
+
+# the slot setters, which the frozen __setattr__ does not guard
+_set_anchor = PredicateInstance.anchor.__set__
+_set_sense = PredicateInstance.sense.__set__
+_set_arguments = PredicateInstance.arguments.__set__
+
 
 class MergedArgument(NamedTuple):
     """A strict scoring unit: one argument after continuation merging.

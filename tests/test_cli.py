@@ -1,6 +1,7 @@
 import json
 import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,11 @@ from primesrl import (
     Token,
     cli,
     conll,
+    parse_conll05,
+    parse_sense_sidecar,
     serialize_conll05,
 )
+from primesrl.scoring import evaluate
 
 
 def path(name):
@@ -442,6 +446,101 @@ class TestSenseSidecar:
         props = (DATA / "lead_gold.props").read_text()
         gold = props + props.replace("(V*)", "(V*", 1) + "-\n-\n\n"
         assert lead(self.LEAD + "3\t1\n", gold) == (cli.EXIT_PARSE, self.BAD % 3)
+
+
+class TestSharedSpanColumns:
+    """In the conll05 pass, a system props column equal to a gold column of the
+    same sentence is parsed once; each run prints and writes what
+    ``parse_conll05`` and ``evaluate`` give, and fails with the same error."""
+
+    WORDS = "a\nb\nc\nd\ne\n\n"
+    A = ["(A0*)", "(V*)", "(A1*", "*)", "*"]  # anchored at token 2
+    B = ["*", "*", "(A0*)", "(V*)", "(AM-TMP*)"]  # anchored at token 4
+    B2 = ["*", "*", "(A1*)", "(V*)", "*"]
+
+    @staticmethod
+    def props(*sentences: list[list[str]]) -> str:
+        return "".join("".join("\t".join(["-"] + [column[i] for column in columns]) + "\n"
+                               for i in range(5)) + "\n" for columns in sentences)
+
+    @pytest.fixture
+    def runs(self, tmp_path, capsys, monkeypatch):
+        """A function that writes the inputs and runs evaluate and compare on
+        them, and returns their outputs with the pairs the pass scored; the
+        outputs must equal those of parsing each file with parse_conll05."""
+        def library(args, metrics):
+            words = Path(args.words).read_text()
+
+            def corpus(props, senses):
+                if senses is not None:
+                    senses = parse_sense_sidecar(Path(senses).read_text(), senses)
+                return parse_conll05(words, Path(props).read_text(), senses, path=props)
+            gold, system = corpus(args.gold, args.senses), corpus(args.system, args.senses_system)
+            return [evaluate(gold, system, metric) for metric in metrics]
+
+        def outputs(argv):
+            report = tmp_path / "report.json"
+            report.unlink(missing_ok=True)
+            codes = (run(["evaluate", "--per-label", "--json", str(report)] + argv),
+                     run(["compare"] + argv))
+            return codes, capsys.readouterr(), report.exists() and report.read_bytes()
+
+        def runs(gold: str, system: str, senses: tuple[str, str] | None = None):
+            argv = ["--format", "conll05", "--words", str(tmp_path / "words")]
+            (tmp_path / "words").write_text(self.WORDS * gold.count("\n\n"))
+            for side, text in (("gold", gold), ("system", system)):
+                (tmp_path / (side + ".props")).write_text(text)
+            for flag, side, rows in zip(("--senses", "--senses-system"), ("gold", "system"),
+                                        senses or ()):
+                (tmp_path / (side + ".senses")).write_text(rows)
+                argv += [flag, str(tmp_path / (side + ".senses"))]
+            argv += [str(tmp_path / "gold.props"), str(tmp_path / "system.props")]
+            scored = []  # the (n, gold, system) triples of each run, in turn
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "score_pairs", lambda pairs, *rest: score_pairs(
+                    (scored.append(triple) or triple for triple in pairs), *rest))
+                got = outputs(argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_score", library)
+                assert got == outputs(argv)
+            return got, scored
+
+        score_pairs = cli.score_pairs
+        return runs
+
+    def test_a_column_at_another_position(self, runs):
+        (codes, _, _), scored = runs(self.props([self.A, self.B]), self.props([self.B2, self.A]))
+        assert codes == (0, 0)
+        _, gold, system = scored[0]
+        assert [p.anchor for p in system.predicates] == [2, 4]
+        assert system.predicates[0].arguments is gold.predicates[0].arguments
+        assert system.predicates[1].arguments != gold.predicates[1].arguments
+
+    def test_the_system_sense_wins_on_a_shared_column(self, runs):
+        (codes, out, _), scored = runs(self.props([self.A, self.B]), self.props([self.B2, self.A]),
+                                       ("1\t2\tgo.01\n1\t4\tbe.01\n",
+                                        "1\t2\tgo.02\n1\t4\tbe.01\n"))
+        assert codes == (0, 0)
+        _, gold, system = scored[0]
+        assert system.predicates[0].arguments is gold.predicates[0].arguments
+        assert [str(p.sense) for p in system.predicates] == ["go.02", "be.01"]
+        assert "Predicate F1: 0.5000" in out.out
+
+    def test_two_system_columns_equal_to_a_gold_one(self, runs, tmp_path):
+        gold = self.props([self.A, self.B], [self.A, self.B])
+        (codes, out, report), _ = runs(gold, self.props([self.A, self.B], [self.A, self.A]))
+        assert codes == (cli.EXIT_PARSE, cli.EXIT_PARSE) and out.out == "" and not report
+        assert out.err == 2 * ("parse error: %s:line 8: predicate columns 1 and 2 both anchor "
+                               "at token 2\n" % (tmp_path / "system.props"))
+
+    def test_a_column_in_two_sentences(self, runs):
+        (codes, _, _), scored = runs(self.props([self.A], [self.A]),
+                                     self.props([self.B2], [self.A]))
+        assert codes == (0, 0)
+        (_, gold1, _), (_, gold2, system2) = scored[:2]
+        assert gold2.predicates[0].arguments == gold1.predicates[0].arguments
+        assert gold2.predicates[0].arguments is not gold1.predicates[0].arguments
+        assert system2.predicates[0].arguments is gold2.predicates[0].arguments
 
 
 def test_split_lets_each_item_go_once_both_sides_took_it():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import itertools
 import random
@@ -200,6 +201,50 @@ class TestParseHead:
         assert len(messages) == 2
         assert messages[0].startswith("line 2: ") and messages[1].startswith("line 5: ")
         assert [s.predicates[0].sense for s in corpus.sentences] == [None, None]
+
+    # a block whose rows are not on consecutive lines: a comment line inside it
+    # is skipped, and every row keeps the number of its own line
+    SHORT_ROW = "expected at least 14 columns, found 2"
+
+    @pytest.mark.parametrize("text, line, message", [
+        (row(1, "He") + "\n# note\n2\tthere\n", 3, SHORT_ROW),
+        (row(1, "He") + "\n# note\n# more\n" + row(2, "goes") + "\n3\tx\n", 5, SHORT_ROW),
+        ("1\tHe\n# note\n" + row(2, "goes") + "\n", 1, SHORT_ROW),
+        (row(1, "He") + "\n# note\n" + row(3, "goes") + "\n", 3,
+         "token ids not contiguous: expected 2, found 3"),
+        (row(1, "He", apreds=["_"]) + "\n# note\n" + row(2, "goes", "Y", "go.01", ["C-C-A0"])
+         + "\n", 3, "nested continuation prefix in 'C-C-A0'"),
+        (row(1, "He") + "\n# note\n" + row(2, "goes", apreds=["_"]) + "\n", 3,
+         "row has 1 argument columns but the sentence has 0 predicate rows"),
+        # a block that starts right after a comment line
+        (row(1, "Hi") + "\n\n# note\n" + row(1, "He") + "\n2\tthere\n", 5, SHORT_ROW),
+        ("# note\n" + row(1, "He") + "\n# note\n2\tthere\n", 4, SHORT_ROW),
+        # a last block with no trailing newline, and one that ends in a comment
+        (row(1, "He") + "\n# note\n2\tthere", 3, SHORT_ROW),
+        (row(1, "He") + "\n# note\n2\tthere\n# end", 3, SHORT_ROW),
+    ], ids=["after", "after-two", "before", "token-id", "role", "dangling", "block-start",
+            "first-and-inside", "no-newline", "comment-at-end"])
+    def test_rows_across_a_comment_keep_their_lines(self, text, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_conll09(text, path="c.conll")
+        assert str(err.value) == "c.conll:line %d: %s" % (line, message)
+
+    @pytest.mark.parametrize("text, lines", [
+        (row(1, "He", apreds=["A0"]) + "\n# note\n" + row(2, "goes", "Y", "go", ["_"]) + "\n",
+         [3]),
+        ("# note\n" + row(1, "He", "Y", "go", ["_", "A0"]) + "\n# note\n"
+         + row(2, "goes", "Y", "go", ["A0", "_"]), [2, 4]),
+        (row(1, "Hi") + "\n\n# a\n# b\n" + row(1, "He", "Y", "go", ["_", "_"]) + "\n# c\n"
+         + row(2, "goes", "Y", "go", ["_", "_"]) + "\n", [5, 7]),
+    ], ids=["after", "no-newline", "block-start"])
+    def test_malformed_sense_across_a_comment_names_its_line(self, text, lines):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_conll09(text, path="c.conll")
+        assert [str(w.message) for w in caught] == [
+            "c.conll:line %d: predicate sense cell 'go' is not lemma.sense; "
+            "recorded as sense-missing" % line for line in lines]
+        assert {w.category for w in caught} == {MalformedSenseWarning}
 
     def test_repeated_invalid_role_reports_first_line(self):
         text = "\n".join([row(1, "He", apreds=["_"]),
@@ -423,6 +468,43 @@ class TestParseSpan:
 
         whole = self.outcome(lambda: parse(parse_sense_sidecar(text), ()))
         assert self.outcome(lambda: parse({}, conll._sense_rows([text]))) == whole
+
+
+class TestParsedPredicates:
+    """The parsers build predicates without the duplicate-argument check, which
+    no parsed column can fail; every one of them passes it all the same."""
+
+    @staticmethod
+    def check(corpus: Corpus) -> None:
+        for sentence in corpus.sentences:
+            for pred in sentence.predicates:
+                assert type(pred) is PredicateInstance
+                checked = PredicateInstance(pred.anchor, pred.sense, pred.arguments)
+                assert checked == pred and hash(checked) == hash(pred)
+                assert dataclasses.replace(pred, sense=None).sense is None
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    pred.anchor = pred.anchor + 1
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]))
+    def test_generated_corpora(self, seed, mode):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=10, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=True)
+        for corpus in (gold, perturb_corpus(rng, gold)):
+            if mode == "head":
+                self.check(parse_conll09(serialize_conll09(corpus)))
+            else:
+                words, props = serialize_conll05(corpus)
+                self.check(parse_conll05(words, props, parse_sense_sidecar(sidecar(corpus))))
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in DATA.glob("*.conll")))
+    def test_head_fixtures(self, name):
+        self.check(load_head(name))
+
+    @pytest.mark.parametrize("name", sorted(path.stem for path in DATA.glob("*.props")))
+    def test_span_fixtures(self, name):
+        self.check(load_span(name.split("_")[0], name))
 
 
 class TestSerialize:
