@@ -179,27 +179,6 @@ def load_corpus(path: str, fmt: str, words: str | None) -> Corpus:
         return Corpus(list(map(parse, blocks)), mode=_mode(fmt))
 
 
-def _split(items):
-    """Two iterators over ``items``, which holds no None, for two readers that
-    take turns. Each item is let go once both have taken it, where
-    ``itertools.tee`` holds items in blocks of 57."""
-    source = iter(items)
-    queues = (collections.deque(), collections.deque())
-
-    def side(own, other):
-        while True:
-            if own:
-                yield own.popleft()
-                continue
-            item = next(source, None)
-            if item is None:
-                return
-            other.append(item)
-            yield item
-
-    return side(*queues), side(*queues[::-1])
-
-
 def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
     """Parse, align and score gold against system in one pass, one report per metric.
 
@@ -209,7 +188,7 @@ def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
     and a system props column equal to a gold one of its sentence is parsed once.
     """
     with contextlib.ExitStack() as files:
-        gold_words, system_words = _split(_words(args.format, args.words, files) or ())
+        gold_words, system_words = itertools.tee(_words(args.format, args.words, files) or ())
         known: dict = {}
         gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses, files,
                                    known)

@@ -25,6 +25,7 @@ from .model import (
 FILLPRED_COL = 12  # 0-based; column 13 in the format description
 PRED_COL = 13
 FIRST_APRED_COL = 14
+_IDS = tuple(map(str, range(1, 1001)))  # CoNLL-2009 token ids 1..1000 as usually written
 
 
 class ParseError(Exception):
@@ -272,12 +273,14 @@ def _conll09_reader(pieces, path: str | None = None):
         anchors = list(itertools.compress(range(1, n + 1), map("Y".__eq__, columns[FILLPRED_COL])))
         if widths != {FIRST_APRED_COL + len(anchors)}:
             raise first_problem(block)
-        try:
-            numbered = list(map(int, columns[0])) == list(range(1, n + 1))
-        except ValueError:
-            numbered = False
-        if not numbered:
-            raise first_problem(block)
+        if columns[0] != _IDS[:n]:
+            # ids spelled otherwise, such as 01 or +2, or past the end of _IDS
+            try:
+                numbered = list(map(int, columns[0])) == list(range(1, n + 1))
+            except ValueError:
+                numbered = False
+            if not numbered:
+                raise first_problem(block)
 
         # every argument column, before any sense warning
         arguments = []

@@ -169,19 +169,17 @@ def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: lis
     """Tally one aligned sentence's predicates into `predicates` and its units
     into `labels` (label -> tally); pass its own argument tally to `record`
     unless that is None."""
-    total = [0, 0, 0]
+    correct = predicted = gold = 0
     predicates[PREDICTED] += len(sent.pairs) + len(sent.spurious)
     predicates[GOLD] += len(sent.pairs) + len(sent.missed)
-
-    def add(items: list[tuple], kind: int) -> None:
-        for item in items:
-            labels[item[0]][kind] += 1
-        total[kind] += len(items)
-
     for gp in sent.missed:
-        add(units(gp), GOLD)
+        for unit in units(gp):
+            labels[unit[0]][GOLD] += 1
+            gold += 1
     for sp in sent.spurious:
-        add(units(sp), PREDICTED)
+        for unit in units(sp):
+            labels[unit[0]][PREDICTED] += 1
+            predicted += 1
     for gp, sp in sent.pairs:
         # one credit per pair, shared by the predicate tally and the argument
         # filters; a gold predicate without a sense means gold without senses
@@ -189,27 +187,38 @@ def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: lis
         credited = rule is None or gp.sense is None or (sp.sense is not None and rule(gp, sp))
         predicates[CORRECT] += credited
         gold_units = units(gp)
-        add(gold_units, GOLD)
+        gold += len(gold_units)
         if gp.arguments == sp.arguments:
             # every unit builder reads only the arguments: the system units are
             # the gold units, and their one-to-one match is all of them
-            add(gold_units, PREDICTED)
+            for unit in gold_units:
+                tally = labels[unit[0]]
+                tally[GOLD] += 1
+                tally[PREDICTED] += 1
+            predicted += len(gold_units)
             matched = gold_units
         else:
-            sys_units = units(sp)
-            add(sys_units, PREDICTED)
             # one-to-one multiset match; exact-key equality makes the greedy pass maximal
-            available = Counter(unit[1] for unit in gold_units)
+            available: dict = {}
+            for unit in gold_units:
+                labels[unit[0]][GOLD] += 1
+                available[unit[1]] = available.get(unit[1], 0) + 1
+            sys_units = units(sp)
+            predicted += len(sys_units)
             matched = []
             for unit in sys_units:
-                if available[unit[1]] > 0:
-                    available[unit[1]] -= 1
+                labels[unit[0]][PREDICTED] += 1
+                left = available.get(unit[1])
+                if left:
+                    available[unit[1]] = left - 1
                     matched.append(unit)
         for keep in filters:
             matched = keep(matched, credited)
-        add(matched, CORRECT)
+        for unit in matched:
+            labels[unit[0]][CORRECT] += 1
+        correct += len(matched)
     if record is not None:
-        record(EvalCounts(*total))
+        record(EvalCounts(correct, predicted, gold))
 
 
 def _score_aligned(sentences, runs: list[tuple]) -> None:

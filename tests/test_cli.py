@@ -1,6 +1,5 @@
 import json
 import random
-import weakref
 from pathlib import Path
 
 import pytest
@@ -541,20 +540,3 @@ class TestSharedSpanColumns:
         assert gold2.predicates[0].arguments == gold1.predicates[0].arguments
         assert gold2.predicates[0].arguments is not gold1.predicates[0].arguments
         assert system2.predicates[0].arguments is gold2.predicates[0].arguments
-
-
-def test_split_lets_each_item_go_once_both_sides_took_it():
-    class Item:
-        pass
-
-    first, second = cli._split(Item() for _ in range(100))
-    a, b = next(first), next(second)
-    assert a is b
-    taken = weakref.ref(a)
-    del a, b
-    next(first), next(second)
-    assert taken() is None  # itertools.tee would still hold it
-    # a side that runs ahead leaves the same items, in order, for the other
-    ahead = [next(first) for _ in range(5)]
-    assert [next(second) for _ in range(5)] == ahead
-    assert len(list(first)) == len(list(second)) == 93

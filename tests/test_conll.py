@@ -178,6 +178,39 @@ class TestParseHead:
             parse_conll09(text)
         assert err.value.line == 2
 
+    def test_token_ids_in_any_spelling_int_reads(self):
+        spelled = "\n".join([row("01", "He", apreds=["A0"]),
+                             row("+2", "goes", "Y", "go.01", ["_"])]) + "\n"
+        plain = "\n".join([row(1, "He", apreds=["A0"]),
+                           row(2, "goes", "Y", "go.01", ["_"])]) + "\n"
+        assert parse_conll09(spelled) == parse_conll09(plain)
+
+    @pytest.mark.parametrize("cell", ["x", "1.0"])
+    def test_token_id_int_cannot_read(self, cell):
+        text = "\n".join([row(1, "He"), row(cell, "goes"), row(3, ".")]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll09(text, path="c.conll")
+        assert str(err.value) == "c.conll:line 2: token id %r is not an integer" % cell
+
+    def test_sentence_longer_than_the_id_table(self):
+        n = len(conll._IDS) + 5
+
+        def text(last_id: int) -> str:
+            rows = [row(i, "w", apreds=["_"]) for i in range(1, n - 2)]
+            rows += [row(n - 2, "go", "Y", "go.01", ["_"]), row(n - 1, "w", apreds=["_"]),
+                     row(last_id, "it", apreds=["A1"])]
+            return "\n".join(rows) + "\n"
+
+        sent = parse_conll09(text(n)).sentences[0]
+        assert len(sent.forms) == n and sent.forms[-1] == "it"
+        [pred] = sent.predicates
+        assert pred.anchor == n - 2
+        assert [(str(a.label), a.extent) for a in pred.arguments] == [("A1", (n,))]
+        with pytest.raises(ParseError) as err:
+            parse_conll09(text(n + 1))
+        assert str(err.value) == "line %d: token ids not contiguous: expected %d, found %d" % (
+            n, n, n + 1)
+
     def test_malformed_sense_is_a_warning(self):
         text = "\n".join([row(1, "He", apreds=["A0"]),
                           row(2, "goes", "Y", "goes", ["_"])]) + "\n"

@@ -490,6 +490,55 @@ class TestFilterChain:
         self.check(gold, perturb_corpus(rng, gold))
 
 
+class TestRecount:
+    """The legacy rows counted again from plain multisets, without the scoring
+    core: per label, gold and predicted count the units of the gold and system
+    predicates, and correct counts the intersection of each aligned pair's gold
+    and system units. In every row, the per-label tallies sum to the argument
+    counts."""
+
+    @staticmethod
+    def units(metric: str, pred: PredicateInstance) -> list[tuple[str, tuple]]:
+        """(label, match key) of each unit, from the README's rules for the row."""
+        if metric == "legacy_head":
+            return [(str(a.label), (str(a.label), a.extent)) for a in pred.arguments
+                    if a.label.base != "V"]
+        return [(unit[0][0], unit) for unit in chain_spans(pred)]
+
+    @classmethod
+    def recount(cls, gold: Corpus, system: Corpus, metric: str) -> dict[str, tuple]:
+        tallies = defaultdict(lambda: [0, 0, 0])
+        for sentence in align(gold, system).sentences:
+            pairs = sentence.pairs + [(gp, None) for gp in sentence.missed]
+            pairs += [(None, sp) for sp in sentence.spurious]
+            for gp, sp in pairs:
+                gold_units = cls.units(metric, gp) if gp is not None else []
+                sys_units = cls.units(metric, sp) if sp is not None else []
+                label_of = {key: label for label, key in gold_units + sys_units}
+                found = [Counter(key for _, key in units) for units in (gold_units, sys_units)]
+                for field, keys in ((GOLD, found[0]), (PREDICTED, found[1]),
+                                    (CORRECT, found[0] & found[1])):
+                    for key, n in keys.items():
+                        tallies[label_of[key]][field] += n
+        return {label: tuple(tally) for label, tally in tallies.items()}
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans())
+    def test_counts_are_multiset_intersections(self, seed, mode, with_sense):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense)
+        system = perturb_corpus(rng, gold)
+        for metric in METRICS:
+            report = evaluate(gold, system, metric)
+            assert tuple(map(sum, zip((0, 0, 0), *map(counts, report.per_label.values())))) == \
+                counts(report.argument_counts)
+            if metric != "primesrl":
+                assert {label: counts(c) for label, c in report.per_label.items()} == \
+                    self.recount(gold, system, metric)
+
+
 class TestAgreeingPairs:
     """A pair whose system arguments equal gold's scores as the one-to-one
     match of its two unit lists does: reordering every system predicate's
