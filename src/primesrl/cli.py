@@ -340,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for option in ("senses", "senses_system", "words"):
+            if args.format == "conll09" and getattr(args, option, None) is not None:
+                raise ConfigError("--%s is read only with --format conll05" % option.replace("_", "-"))
         return args.func(args)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -440,7 +440,7 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
     def walk(j: int, column: tuple[str, ...], numbers) -> tuple[int, tuple[RawArgument, ...]]:
         """The anchor and span parts of props column ``j``, whose cells are on
         lines ``numbers``."""
-        parts = []
+        parts, anchor = [], None
         open_text = ""
         open_label: RoleLabel | None = None
         open_start = 0
@@ -459,7 +459,7 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
                     raise OverlappingSpan(
                         "span %s opened inside an open %s span" % (opened, open_label),
                         line=numbers[i], path=path)
-                open_label = _role(labels, opened, numbers[i], path)
+                open_label = labels.get(opened) or _role(labels, opened, numbers[i], path)
                 open_text = opened
                 open_start = i
             if closed is not None:
@@ -471,12 +471,12 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
                     part = spans[open_text, open_start, i] = RawArgument(
                         label=open_label, extent=tuple(range(open_start + 1, i + 2)))
                 parts.append(part)
+                if anchor is None and open_label.base == VERB_BASE:
+                    anchor = open_start + 1  # the first V part's first token
                 open_label = None
         if open_label is not None:
             raise UnbalancedBracket("span %s never closed" % (open_label,),
                                     line=numbers[open_start], path=path)
-
-        anchor = next((p.extent[0] for p in parts if p.label.base == VERB_BASE), None)
         if anchor is None:
             raise AnchorMissing("predicate column %d has no V span" % j,
                                 line=numbers[0], path=path)
@@ -669,15 +669,14 @@ def _align_sentence(idx: int, gs: Sentence, ss: Sentence) -> AlignedSentence:
                     "sentence %d, token %d: form %r != %r" % (idx, index, gf, sf),
                     sentence=idx, token=index)
     sys_by_anchor = {p.anchor: p for p in ss.predicates}
-    sent = AlignedSentence(index=idx)
+    pairs, missed = [], []
     for gp in gs.predicates:
         sp = sys_by_anchor.pop(gp.anchor, None)
         if sp is None:
-            sent.missed.append(gp)
+            missed.append(gp)
         else:
-            sent.pairs.append((gp, sp))
-    sent.spurious.extend(sys_by_anchor[a] for a in sorted(sys_by_anchor))
-    return sent
+            pairs.append((gp, sp))
+    return AlignedSentence(idx, pairs, missed, [sys_by_anchor[a] for a in sorted(sys_by_anchor)])
 
 
 def _corpus_pairs(gold: Corpus, system: Corpus):

@@ -38,15 +38,21 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
 
     groups: dict[tuple[str, bool], list] = {}
     for arg in pred.arguments:
-        groups.setdefault((arg.label.base, arg.label.is_reference), []).append(arg)
+        key = arg.label.base, arg.label.is_reference
+        if (parts := groups.get(key)) is None:
+            groups[key] = [arg]
+        else:
+            parts.append(arg)
 
+    # a RawArgument extent is already non-empty, sorted and duplicate-free
     units = []
     for (base, is_ref), parts in groups.items():
         label = RoleLabel(base, False, is_ref)
-        if any(p.label.is_continuation for p in parts):
+        if len(parts) == 1:
+            units.append(MergedArgument(label, parts[0].extent))
+        elif any(p.label.is_continuation for p in parts):
             tokens = tuple(sorted({t for p in parts for t in p.extent}))
             units.append(MergedArgument(label, tokens))
         else:
-            # a RawArgument extent is already non-empty, sorted and duplicate-free
             units.extend(MergedArgument(label, p.extent) for p in parts)
     return units

@@ -150,9 +150,15 @@ def _sense_filter(matched: list[tuple], credited: bool) -> list[tuple]:
 
 def _reference_filter(matched: list[tuple], credited: bool) -> list[tuple]:
     """An R- unit needs a matched same-base unit that is not a reference."""
-    referents = {unit[1].base_label.base for unit in matched if not unit[1].is_reference}
+    # a unit's match key is its MergedArgument, whose first field is its label
+    for unit in matched:
+        if unit[1][0].is_reference:
+            break
+    else:
+        return matched
+    referents = {unit[1][0].base for unit in matched if not unit[1][0].is_reference}
     return [unit for unit in matched
-            if not unit[1].is_reference or unit[1].base_label.base in referents]
+            if not unit[1][0].is_reference or unit[1][0].base in referents]
 
 
 # metric -> (unit builder, argument filters applied in order, predicate rule;

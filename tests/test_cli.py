@@ -1,6 +1,7 @@
 import json
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -196,6 +197,19 @@ class TestExitCodes:
                     path("tax_gold.props"), path("tax_p1.props")])
         assert code == cli.EXIT_CONFIG
         assert "--words" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        (command, option) for command in ("evaluate", "compare", "stats")
+        for option in ("--words", "--senses", "--senses-system")
+        if command != "stats" or option == "--words"])
+    def test_conll05_option_with_conll09(self, command, option, capsys):
+        files = [path("buy_gold.conll")] * (1 if command == "stats" else 2)
+        with mock.patch.object(cli, "_read", side_effect=AssertionError("a file was read")):
+            code = run([command, *files, option, path("no_such_file")])
+        assert code == cli.EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: %s is read only with --format conll05\n" % option
 
     def test_unreadable_file(self, capsys):
         code = run(["evaluate", path("no_such_file.conll"), path("buy_gold.conll")])

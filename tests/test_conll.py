@@ -393,6 +393,38 @@ class TestParseSpan:
         with pytest.raises(OverlappingSpan):
             parse_conll05(self.WORDS, props)
 
+    def test_overlap_is_checked_before_the_opened_label(self):
+        # the nested cell's label is bad too, but the overlap is reported
+        props = "\n".join(["-\t(A0*", "-\t(C-C-A1*)", "be\t(V*)", "-\t*", "-\t*"]) + "\n"
+        with pytest.raises(OverlappingSpan) as err:
+            parse_conll05(self.WORDS, props, path="s.props")
+        assert err.value.line == 2
+        assert str(err.value) == "s.props:line 2: span C-C-A1 opened inside an open A0 span"
+
+    def test_bad_label_in_the_first_opening_cell(self):
+        props = "\n".join(["-\t(C-C-A1*)", "-\t*", "be\t(V*)", "-\t*", "-\t*"]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_conll05(self.WORDS, props, path="s.props")
+        assert type(err.value) is ParseError
+        assert str(err.value) == "s.props:line 1: nested continuation prefix in 'C-C-A1'"
+
+    @pytest.mark.parametrize("opened, shown", [("A0", "A0"), ("ARG0", "A0"), ("R-A0", "R-A0")])
+    def test_unclosed_span_message_names_its_label(self, opened, shown):
+        props = "\n".join(["-\t*", "be\t(V*)", "-\t(%s*" % opened, "-\t*", "-\t*"]) + "\n"
+        with pytest.raises(UnbalancedBracket) as err:
+            parse_conll05(self.WORDS, props, path="s.props")
+        assert str(err.value) == "s.props:line 3: span %s never closed" % shown
+
+    @pytest.mark.parametrize("cells, anchor", [
+        (["(C-V*)", "*", "(V*)", "(A1*", "*)"], 1),  # a C-V part has base V too
+        (["(A0*)", "(V*)", "*", "(C-V*)", "*"], 2),
+        (["(A0*)", "(V*", "*)", "(C-V*)", "*"], 2),
+    ])
+    def test_anchor_is_the_first_token_of_the_first_verb_part(self, cells, anchor):
+        props = "".join("-\t%s\n" % cell for cell in cells)
+        [pred] = parse_conll05(self.WORDS, props).sentences[0].predicates
+        assert pred.anchor == anchor
+
     def test_malformed_cell(self):
         props = "\n".join(["-\t(A0*)", "-\t((", "be\t(V*)", "-\t*", "-\t*"]) + "\n"
         with pytest.raises(ParseError) as err:
@@ -775,6 +807,24 @@ class TestAlign:
         assert [p.anchor for p in sent.missed] == [4]
         assert [p.anchor for p in sent.spurious] == [5]
         assert sent.pairs == []
+
+    def test_order_of_pairs_missed_and_spurious(self):
+        # library sentences may hold their predicates in any order
+        def sentence(anchors):
+            return Sentence([Token(i, "w%d" % i) for i in range(1, 11)],
+                            [PredicateInstance(a, None, ()) for a in anchors])
+
+        gold = sentence([7, 9, 5, 2, 1])
+        system = sentence([8, 5, 1, 4, 7])
+        [sent] = align(Corpus([gold], "head"), Corpus([system], "head")).sentences
+        assert [(gp.anchor, sp.anchor) for gp, sp in sent.pairs] == [(7, 7), (5, 5), (1, 1)]
+        assert [p.anchor for p in sent.missed] == [9, 2]
+        assert [p.anchor for p in sent.spurious] == [4, 8]
+        # each side's predicates, each exactly once
+        gold_side = [gp for gp, _ in sent.pairs] + sent.missed
+        system_side = [sp for _, sp in sent.pairs] + sent.spurious
+        assert sorted(map(id, gold_side)) == sorted(map(id, gold.predicates))
+        assert sorted(map(id, system_side)) == sorted(map(id, system.predicates))
 
     def test_sentence_count_mismatch(self):
         gold = load_head("buy_gold")

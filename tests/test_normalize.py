@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import load_head
 from corpusgen import perturb_corpus, random_corpus
 from primesrl import RoleLabel, classify, merge_continuations
-from primesrl.model import PredicateInstance, RawArgument
+from primesrl.model import MergedArgument, PredicateInstance, RawArgument
 
 
 def pred_from(labeled_tokens):
@@ -105,21 +104,64 @@ def test_units_are_whole_arguments_over_the_raw_tokens(preds):
                 == {t for arg in pred.arguments for t in arg.extent})
 
 
-def grouped_units(pred: PredicateInstance) -> list[tuple[RoleLabel, tuple[int, ...]]]:
-    """The reference rule: parts grouped by (base, reference flag), a group
-    merged into one unit when any part has a C- prefix, its parts kept as
-    units otherwise."""
-    groups: dict[tuple[str, bool], list[RawArgument]] = {}
+def merged_by_the_rule(pred: PredicateInstance) -> list[MergedArgument]:
+    """``merge_continuations`` as its docstring states it, in plain loops: without
+    a C- part, one unit per part in argument order; otherwise parts grouped by
+    (base, reference flag), groups in order of first appearance, a group with a
+    C- part merged into one unit over the union of its tokens, and a group
+    without one kept as its parts in argument order."""
+    has_continuation = False
     for arg in pred.arguments:
-        groups.setdefault((arg.label.base, arg.label.is_reference), []).append(arg)
+        if arg.label.is_continuation:
+            has_continuation = True
+    if not has_continuation:
+        return [MergedArgument(arg.label, arg.extent) for arg in pred.arguments]
+    keys = []
+    for arg in pred.arguments:
+        key = (arg.label.base, arg.label.is_reference)
+        if key not in keys:
+            keys.append(key)
     units = []
-    for (base, is_ref), parts in groups.items():
+    for base, is_ref in keys:
         label = RoleLabel(base, False, is_ref)
-        if any(p.label.is_continuation for p in parts):
-            units.append((label, tuple(sorted({t for p in parts for t in p.extent}))))
+        parts = [arg for arg in pred.arguments
+                 if (arg.label.base, arg.label.is_reference) == (base, is_ref)]
+        merge = False
+        for part in parts:
+            if part.label.is_continuation:
+                merge = True
+        if merge:
+            tokens = []
+            for part in parts:
+                for token in part.extent:
+                    if token not in tokens:
+                        tokens.append(token)
+            units.append(MergedArgument(label, tuple(sorted(tokens))))
         else:
-            units.extend((label, p.extent) for p in parts)
+            for part in parts:
+                units.append(MergedArgument(label, part.extent))
     return units
+
+
+@st.composite
+def labelled_predicates(draw):
+    """One predicate of up to six parts over tokens 1-6, with labels that share
+    bases in every prefix combination, so that parts overlap, repeat a base or
+    stand alone as an orphan C- part; no two parts differ in their C- prefix alone."""
+    labels = st.sampled_from(["A0", "C-A0", "R-A0", "R-C-A0", "A1", "C-A1", "AM-TMP", "V"])
+    extents = st.sets(st.integers(1, 6), min_size=1, max_size=3).map(lambda s: tuple(sorted(s)))
+    args = draw(st.lists(st.builds(RawArgument, labels.map(RoleLabel.parse), extents),
+                         max_size=6,
+                         unique_by=lambda a: (a.label.base, a.label.is_reference, a.extent)))
+    return [PredicateInstance(1, None, tuple(args))]
+
+
+HAND_MADE = {
+    "orphan-continuation-alone": [(3, "C-A1")],
+    "continuation-with-two-plain-parts": [(2, "A1"), (4, "C-A1"), (6, "A1")],
+    "reference-continuation": [(1, "A0"), (2, "R-A0"), (4, "R-C-A0"), (5, "C-A0")],
+    "groups-out-of-argument-order": [(1, "A1"), (2, "A0"), (3, "A1"), (4, "C-A0"), (5, "A1")],
+}
 
 
 def without_continuations(pred: PredicateInstance) -> PredicateInstance:
@@ -130,16 +172,27 @@ def without_continuations(pred: PredicateInstance) -> PredicateInstance:
         for arg in pred.arguments))
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(generated_predicates())
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(generated_predicates() | labelled_predicates())
 def test_units_are_those_of_the_grouping_with_or_without_a_continuation(preds):
     for pred in preds + [without_continuations(p) for p in preds]:
         units = merge_continuations(pred)
-        assert (Counter((u.base_label, u.tokens) for u in units)
-                == Counter(grouped_units(pred)))
-        if not any(arg.label.is_continuation for arg in pred.arguments):
-            # one unit per part, in argument order
-            assert [tuple(u) for u in units] == [tuple(arg) for arg in pred.arguments]
+        assert units == merged_by_the_rule(pred)
+        assert all(type(unit) is MergedArgument for unit in units)
+
+
+@pytest.mark.parametrize("parts", HAND_MADE.values(), ids=HAND_MADE.keys())
+def test_hand_made_units_are_those_of_the_docstring_rule(parts):
+    pred = pred_from(parts)
+    assert merge_continuations(pred) == merged_by_the_rule(pred)
+
+
+def test_the_docstring_rule_on_hand_made_predicates():
+    assert [(str(u.base_label), u.tokens) for u in merged_by_the_rule(pred_from(
+        HAND_MADE["reference-continuation"]))] == [("A0", (1, 5)), ("R-A0", (2, 4))]
+    assert [(str(u.base_label), u.tokens) for u in merged_by_the_rule(pred_from(
+        HAND_MADE["groups-out-of-argument-order"]))] == [("A1", (1,)), ("A1", (3,)),
+                                                         ("A1", (5,)), ("A0", (2, 4))]
 
 
 class TestClassify:
