@@ -190,8 +190,9 @@ class MergedArgument(NamedTuple):
     """A strict scoring unit: one argument after continuation merging.
 
     base_label never carries a C- prefix; the reference flag is preserved.
-    tokens are non-empty, sorted and duplicate-free. merge_continuations, the
-    only builder, guarantees both, so nothing is checked here.
+    tokens are non-empty, sorted and duplicate-free. The one grouping helper
+    behind merge_continuations and the strict scorer guarantees both, so
+    nothing is checked here.
     """
 
     base_label: RoleLabel

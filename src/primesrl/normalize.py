@@ -17,6 +17,40 @@ def classify(label: RoleLabel) -> str:
     return "modifier"
 
 
+def _whole_arguments(parts):
+    """A predicate's strict units as (label, tokens) pairs: ``parts`` as they
+    are when none carries a C- prefix, each part then being a whole argument;
+    otherwise the parts grouped as ``merge_continuations`` states."""
+    for label, _ in parts:
+        if label.is_continuation:
+            break
+    else:
+        return parts
+
+    groups: dict[tuple[str, bool], list] = {}
+    merged = set()  # the groups with a C- part
+    for part in parts:
+        base, continued, is_ref = part.label
+        key = base, is_ref
+        if continued:
+            merged.add(key)
+        if (group := groups.get(key)) is None:
+            groups[key] = [part]
+        else:
+            group.append(part)
+
+    units = []
+    for key, group in groups.items():
+        if key in merged:
+            units.append((RoleLabel(key[0], False, key[1]),
+                          tuple(sorted({t for p in group for t in p.extent}))))
+        else:
+            # a lone part, or plain duplicates, each a unit of its own: a
+            # RawArgument extent is already non-empty, sorted and duplicate-free
+            units.extend(group)
+    return units
+
+
 def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
     """Collapse C-parts into whole-argument units.
 
@@ -29,30 +63,5 @@ def merge_continuations(pred: PredicateInstance) -> list[MergedArgument]:
     group first appears among the arguments, a group's plain duplicates in
     argument order.
     """
-    for arg in pred.arguments:
-        if arg.label.is_continuation:
-            break
-    else:
-        # no label to strip and no group to merge: each part is its own unit
-        return list(map(MergedArgument._make, pred.arguments))
-
-    groups: dict[tuple[str, bool], list] = {}
-    for arg in pred.arguments:
-        key = arg.label.base, arg.label.is_reference
-        if (parts := groups.get(key)) is None:
-            groups[key] = [arg]
-        else:
-            parts.append(arg)
-
-    # a RawArgument extent is already non-empty, sorted and duplicate-free
-    units = []
-    for (base, is_ref), parts in groups.items():
-        label = RoleLabel(base, False, is_ref)
-        if len(parts) == 1:
-            units.append(MergedArgument(label, parts[0].extent))
-        elif any(p.label.is_continuation for p in parts):
-            tokens = tuple(sorted({t for p in parts for t in p.extent}))
-            units.append(MergedArgument(label, tokens))
-        else:
-            units.extend(MergedArgument(label, p.extent) for p in parts)
-    return units
+    # each unit is a (label, tokens) pair, MergedArgument's shape, so tuple.__new__ makes it in C
+    return [tuple.__new__(MergedArgument, unit) for unit in _whole_arguments(pred.arguments)]

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from .conll import AlignedCorpus, AlignedSentence, Corpus, _align_sentence, _corpus_pairs
 from .model import (
     EvalCounts,
+    MergedArgument,
     PredicateInstance,
     ScoreReport,
     VERB_BASE,
     label_sort_key,
 )
-from .normalize import classify, merge_continuations
+from .normalize import _whole_arguments, classify
 
 
 class MissingGoldSense(ValueError):
@@ -76,10 +77,10 @@ def score_predicates_trivial(aligned: AlignedCorpus) -> EvalCounts:
 # scoring units: (per-label tally label, match key, ...) items per predicate
 
 class _LabelTable(dict):
-    """RoleLabel -> ``fact(label)``, kept for labels of a known family (core or
-    modifier) only, so that it grows with the distinct labels of a run and
-    ``fact`` runs once for each. Any other label is looked up anew each time,
-    so ``classify`` still warns about an unknown base once per unit."""
+    """RoleLabel -> ``fact(label)``, kept for labels of a known family (core,
+    modifier or verb) only, so that it grows with the distinct labels of a run
+    and ``fact`` runs once for each. Any other label is looked up anew each
+    time, so ``classify`` still warns about an unknown base once per unit."""
 
     def __init__(self, fact):
         super().__init__()
@@ -87,20 +88,24 @@ class _LabelTable(dict):
 
     def __missing__(self, label):
         value = self.fact(label)
-        if label.is_core or label.is_modifier:
+        if label.is_core or label.is_modifier or label.is_verb:
             self[label] = value
         return value
 
 
-# two tables, as the legacy builders never classify
+# two tables, as the legacy builders never classify; a strict unit's label has
+# no C- prefix, and a verb unit is no unit
 _TALLY = _LabelTable(str)
-_STRICT = _LabelTable(lambda label: (str(label), classify(label) == "core"))
+_STRICT = _LabelTable(lambda label: None if label.base == VERB_BASE
+                      else (str(label), classify(label) == "core"))
 
 
 def _strict_units(pred: PredicateInstance) -> list[tuple]:
-    """Merged units, each its own (base_label, tokens) match key, with their core flag."""
-    return [(tally, u, core) for u in merge_continuations(pred) if u.base_label.base != VERB_BASE
-            for tally, core in (_STRICT[u.base_label],)]
+    """Whole-argument units, each its own (base_label, tokens) match key, with
+    their core flag: ``merge_continuations`` without its verb units."""
+    return [(fact[0], tuple.__new__(MergedArgument, unit), fact[1])
+            for unit in _whole_arguments(pred.arguments)
+            for fact in (_STRICT[unit[0]],) if fact is not None]
 
 
 def _head_units(pred: PredicateInstance) -> list[tuple]:
@@ -139,8 +144,15 @@ def chain_spans(pred: PredicateInstance) -> list[tuple[tuple[str, tuple[int, ...
 
 
 def _span_units(pred: PredicateInstance) -> list[tuple]:
-    """A unit is correct iff its full part sequence matches a gold unit."""
-    return [(unit[0][0], unit) for unit in chain_spans(pred)]
+    """A unit is correct iff its full part sequence matches a gold unit. Without
+    a C- part, in extent order, each part is a one-part unit, as chaining makes it."""
+    previous = 0
+    for label, extent in pred.arguments:
+        if label.is_continuation or extent[0] < previous:
+            return [(unit[0][0], unit) for unit in chain_spans(pred)]
+        previous = extent[0]
+    return [(tally, ((tally, extent),)) for label, extent in pred.arguments
+            if label.base != VERB_BASE for tally in (_TALLY[label],)]
 
 
 def _sense_filter(matched: list[tuple], credited: bool) -> list[tuple]:

@@ -5,7 +5,7 @@ Each command must pass the benchmark's own oracle checks and reproduce the
 output fingerprint pinned for it in ``bench/fingerprints.json``, and a traced
 command's span self times must add up to its traced ``cli.main`` time, so a
 change that would make ``bench/run.py`` count a wrong outcome fails here first.
-The traced strict pass must also build units once per agreeing predicate pair.
+The strict pass must also build units once per agreeing predicate pair.
 """
 
 import importlib.util
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from primesrl import align, parse_conll05, parse_conll09, parse_sense_sidecar
+from primesrl import align, cli, parse_conll05, parse_conll09, parse_sense_sidecar
+from primesrl.scoring import METRICS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -79,10 +80,18 @@ def _strict_builds(corpus_dir: Path, workload: str) -> int:
 
 
 @pytest.mark.parametrize("workload", ["head-evaluate", "span-compare"])
-def test_an_agreeing_pair_builds_its_strict_units_once(bench, workload):
-    # merge_continuations builds the strict units; compare's legacy row does not call it
+def test_an_agreeing_pair_builds_its_strict_units_once(bench, workload, monkeypatch):
+    # the strict row's unit builder, counted as the CLI runs the workload's command
     run, corpus = bench
     corpus_dir, _ = corpus.ensure(run.CACHE, 1, 40)
-    out = run.run_child("trace", run.command(workload, corpus_dir), corpus_dir)
-    assert out.exit == 0
-    assert out.timings["layers"]["normalize.merge_calls"] == _strict_builds(corpus_dir, workload)
+    builder, *rules = METRICS["primesrl"]
+    builds = []
+
+    def counted(pred):
+        builds.append(pred)
+        return builder(pred)
+
+    monkeypatch.setitem(METRICS, "primesrl", (counted, *rules))
+    monkeypatch.chdir(run.ROOT)  # the command names its files relative to the checkout
+    assert cli.main(run.command(workload, corpus_dir)) == 0
+    assert len(builds) == _strict_builds(corpus_dir, workload)

@@ -24,6 +24,7 @@ from primesrl import (
     classify,
     evaluate,
     corpus_stats,
+    merge_continuations,
     normalize,
     parse_conll05,
     parse_conll09,
@@ -33,7 +34,7 @@ from primesrl import (
     serialize_conll09,
 )
 from primesrl.conll import TokenMismatch, _corpus_pairs
-from primesrl.model import MODIFIER_TAGS, PredicateInstance, RawArgument
+from primesrl.model import MODIFIER_TAGS, MergedArgument, PredicateInstance, RawArgument
 from primesrl.scoring import (
     CORRECT,
     EmptyCorpus,
@@ -46,6 +47,7 @@ from primesrl.scoring import (
     _reference_filter,
     _score_aligned,
     _sense_filter,
+    _span_units,
     _strict_units,
     chain_spans,
     score_pairs,
@@ -620,24 +622,132 @@ class TestLabelTable:
             >= {(core, cont, False) for core in (True, False) for cont in (True, False)}
         assert any(label.is_core and label.is_reference for label in seen)
 
+    # label texts of one predicate's parts in each grouping shape, with the
+    # number of strict units whose base is unknown
+    SHAPES = {
+        "no-continuation": (["XYZ", "XYZ", "A1"], 2),
+        "singleton-group": (["XYZ", "A1", "C-A1"], 1),
+        "orphan-continuation": (["C-XYZ", "A1"], 1),
+        "merged-group": (["XYZ", "C-XYZ", "A1"], 1),
+        "duplicates-beside-a-continuation": (["XYZ", "XYZ", "A1", "C-A1"], 2),
+        "reference-beside-a-merged-group": (["R-XYZ", "XYZ", "C-XYZ"], 2),
+    }
+
     @pytest.mark.parametrize("mode", ["head", "span"])
     def test_an_unknown_base_warns_once_per_unit(self, mode):
-        # no C- part, so the units are the parts themselves
-        extents = [(2,), (4,), (5,)] if mode == "head" else [(2, 3), (5, 6), (7, 8)]
-        args = [RawArgument(RoleLabel(base), extent)
-                for base, extent in zip(("XYZ", "XYZ", "A1"), extents)]
-        if mode == "span":
-            args.insert(0, RawArgument(RoleLabel("V"), (1,)))
-        pred = PredicateInstance(1, SenseLabel("buy", "01"), tuple(args))
-        for _ in range(2):  # an unknown label is never kept, so it warns every time
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                units = _strict_units(pred)
-                # the legacy builders never classify
-                _head_units(pred), chain_spans(pred)
-            assert [(w.category, str(w.message)) for w in caught] == [TestUnknownRole.WARNING] * 2
-            assert [(tally, core) for tally, _, core in units] == \
-                [("XYZ", False), ("XYZ", False), ("A1", True)]
+        for texts, unknown in self.SHAPES.values():
+            args = [RawArgument(RoleLabel.parse(text),
+                                (2 * i + 2,) if mode == "head" else (2 * i + 2, 2 * i + 3))
+                    for i, text in enumerate(texts)]
+            if mode == "span":
+                args.insert(0, RawArgument(RoleLabel("V"), (1,)))
+            pred = PredicateInstance(1, SenseLabel("buy", "01"), tuple(args))
+            merged = [u for u in merge_continuations(pred) if not u.base_label.is_verb]
+            assert sum(not (u.base_label.is_core or u.base_label.is_modifier)
+                       for u in merged) == unknown
+            for _ in range(2):  # an unknown label is never kept, so it warns every time
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    units = _strict_units(pred)
+                    # the legacy builders never classify
+                    _head_units(pred), chain_spans(pred), _span_units(pred)
+                assert [(w.category, str(w.message)) for w in caught] == \
+                    [TestUnknownRole.WARNING] * unknown, texts
+                assert units == [(str(u.base_label), u, u.base_label.is_core) for u in merged]
+
+
+class TestUnitBuilders:
+    """The strict builder's keys are ``merge_continuations``'s units without the
+    verb units, in the same order, and the legacy span builder's units are the
+    chained ones, for predicates with or without C- parts, in extent order or
+    not."""
+
+    @staticmethod
+    def check(preds: list[PredicateInstance]) -> None:
+        for pred in preds:
+            keys = [unit for _, unit, _ in _strict_units(pred)]
+            assert keys == [u for u in merge_continuations(pred) if u.base_label.base != "V"]
+            assert all(type(key) is MergedArgument for key in keys)
+            assert _span_units(pred) == [(u[0][0], u) for u in chain_spans(pred)]
+
+    @staticmethod
+    def shuffled(rng: random.Random, preds: list[PredicateInstance]) -> list[PredicateInstance]:
+        """Each predicate with its parts in a random order, which a library caller may give."""
+        return [PredicateInstance(p.anchor, p.sense, tuple(rng.sample(p.arguments, len(p.arguments))))
+                for p in preds]
+
+    def test_fixtures(self):
+        preds = TestLabelTable.predicates()
+        assert any(a.label.is_continuation for p in preds for a in p.arguments)
+        self.check(preds + self.shuffled(random.Random(3), preds))
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans())
+    def test_generated_corpora(self, seed, mode, with_sense):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=6, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense)
+        preds = [p for corpus in (gold, perturb_corpus(rng, gold))
+                 for sentence in corpus.sentences for p in sentence.predicates]
+        self.check(preds + self.shuffled(rng, preds))
+
+
+class TestGoldAgainstItself:
+    """Gold scored against itself: both legacy rows credit every unit, and the
+    strict row predicts every gold unit but credits no R- unit whose predicate
+    has no same-base unit without the R- prefix, as the reference rule judges
+    gold too."""
+
+    @staticmethod
+    def check(gold: Corpus) -> None:
+        tallies = defaultdict(lambda: [0, 0])  # label -> [gold units, R- units without referent]
+        for sentence in gold.sentences:
+            for pred in sentence.predicates:
+                units = [u for u in merge_continuations(pred) if u.base_label.base != "V"]
+                referents = {u.base_label.base for u in units if not u.base_label.is_reference}
+                for u in units:
+                    tally = tallies[str(u.base_label)]
+                    tally[0] += 1
+                    tally[1] += u.base_label.is_reference and u.base_label.base not in referents
+        n = sum(len(sentence.predicates) for sentence in gold.sentences)
+        for metric in METRICS:
+            report = evaluate(gold, gold, metric)
+            assert counts(report.predicate_counts) == (n, n, n)
+            if metric == "primesrl":
+                expected = {label: (g - lost, g, g) for label, (g, lost) in tallies.items()}
+            else:
+                expected = {label: (c.gold, c.gold, c.gold) for label, c in report.per_label.items()}
+            assert {label: counts(c) for label, c in report.per_label.items()} == expected
+
+    @staticmethod
+    def unreferred(rng: random.Random, corpus: Corpus) -> Corpus:
+        """``corpus`` with the R- prefix set at random on non-verb parts, so that
+        some R- units lose their referent and some bases have only R- units."""
+        def flip(arg: RawArgument) -> RawArgument:
+            if arg.label.base != "V" and rng.random() < 0.3:
+                return RawArgument(arg.label._replace(is_reference=True), arg.extent)
+            return arg
+        return Corpus([Sentence._of_forms(s.forms, [
+            dataclasses.replace(p, arguments=tuple(map(flip, p.arguments))) for p in s.predicates])
+            for s in corpus.sentences], mode=corpus.mode)
+
+    @pytest.mark.parametrize("fmt", ["conll09", "conll05"])
+    @pytest.mark.parametrize("family, case", [("buy", c) for c in ("gold", "p1", "p2", "p3")]
+                             + [("lead", c) for c in LEAD_CASES]
+                             + [("tax", c) for c in TAX_CASES])
+    def test_fixtures(self, family, case, fmt):
+        self.check(TestFilterChain.load(family, case, fmt))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
+           with_sense=st.booleans())
+    def test_generated_corpora(self, seed, mode, with_sense):
+        rng = random.Random(seed)
+        gold = random_corpus(rng, n_sentences=8, mode=mode, max_tokens=20, max_preds=4,
+                             max_args=5, with_sense=with_sense)
+        for corpus in (gold, perturb_corpus(rng, gold), self.unreferred(rng, gold)):
+            self.check(corpus)
 
 
 def respell(text: str, bare: bool) -> str:
