@@ -187,12 +187,12 @@ _set_arguments = PredicateInstance.arguments.__set__
 
 
 class MergedArgument(NamedTuple):
-    """A strict scoring unit: one argument after continuation merging.
+    """One argument after continuation merging, as merge_continuations gives it.
 
     base_label never carries a C- prefix; the reference flag is preserved.
-    tokens are non-empty, sorted and duplicate-free. The one grouping helper
-    behind merge_continuations and the strict scorer guarantees both, so
-    nothing is checked here.
+    tokens are non-empty, sorted and duplicate-free. The grouping helper
+    behind merge_continuations guarantees both, so nothing is checked here.
+    The strict scorer keys its units on the same (label, tokens) pairs.
     """
 
     base_label: RoleLabel

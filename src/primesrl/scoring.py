@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from .conll import AlignedCorpus, AlignedSentence, Corpus, _align_sentence, _corpus_pairs
 from .model import (
     EvalCounts,
-    MergedArgument,
     PredicateInstance,
     ScoreReport,
-    VERB_BASE,
     label_sort_key,
 )
 from .normalize import _whole_arguments, classify
@@ -77,7 +75,8 @@ def score_predicates_trivial(aligned: AlignedCorpus) -> EvalCounts:
 # scoring units: (per-label tally label, match key, ...) items per predicate
 
 class _LabelTable(dict):
-    """RoleLabel -> ``fact(label)``, kept for labels of a known family (core,
+    """RoleLabel -> ``fact(label)``, or None for a verb label (V, C-V, R-V), as a
+    verb part is no unit in any metric; kept for labels of a known family (core,
     modifier or verb) only, so that it grows with the distinct labels of a run
     and ``fact`` runs once for each. Any other label is looked up anew each
     time, so ``classify`` still warns about an unknown base once per unit."""
@@ -87,72 +86,68 @@ class _LabelTable(dict):
         self.fact = fact
 
     def __missing__(self, label):
-        value = self.fact(label)
+        value = None if label.is_verb else self.fact(label)
         if label.is_core or label.is_modifier or label.is_verb:
             self[label] = value
         return value
 
 
-# two tables, as the legacy builders never classify; a strict unit's label has
-# no C- prefix, and a verb unit is no unit
-_TALLY = _LabelTable(str)
-_STRICT = _LabelTable(lambda label: None if label.base == VERB_BASE
-                      else (str(label), classify(label) == "core"))
+# label -> (tally label, core flag); two tables, as the legacy builders never classify
+_STRICT = _LabelTable(lambda label: (str(label), classify(label) == "core"))
+_LEGACY = _LabelTable(lambda label: (str(label), False))
+
+
+def _units(keys, table: _LabelTable) -> list[tuple]:
+    """Each key, a tuple whose first field is a RoleLabel, as its own unit:
+    (tally label, match key, core flag), from the table entry of that label;
+    a key whose label the table maps to None is no unit."""
+    return [(fact[0], key, fact[1]) for key in keys
+            for fact in (table[key[0]],) if fact is not None]
 
 
 def _strict_units(pred: PredicateInstance) -> list[tuple]:
-    """Whole-argument units, each its own (base_label, tokens) match key, with
-    their core flag: ``merge_continuations`` without its verb units."""
-    return [(fact[0], tuple.__new__(MergedArgument, unit), fact[1])
-            for unit in _whole_arguments(pred.arguments)
-            for fact in (_STRICT[unit[0]],) if fact is not None]
+    """Whole-argument units, each keyed by its (base label, tokens) pair:
+    ``merge_continuations`` without its verb units."""
+    return _units(_whole_arguments(pred.arguments), _STRICT)
 
 
 def _head_units(pred: PredicateInstance) -> list[tuple]:
-    """Every labeled head token is an independent unit; literal label match."""
-    return [(tally, (tally, a.extent)) for a in pred.arguments if a.label.base != VERB_BASE
-            for tally in (_TALLY[a.label],)]
+    """Every labeled head token is an independent unit, keyed by its part."""
+    return _units(pred.arguments, _LEGACY)
 
 
-def chain_spans(pred: PredicateInstance) -> list[tuple[tuple[str, tuple[int, ...]], ...]]:
-    """Left-to-right chaining of span parts into units, verb spans excluded.
+def chain_spans(pred: PredicateInstance) -> list[tuple]:
+    """Left-to-right chaining of span parts into units, each the flat tuple
+    (label, extent, label, extent, ...) of its parts in extent order.
 
     An unprefixed X opens a new unit; a following C-X attaches to the most
     recently opened unit with base X; an orphan C-X opens a unit keyed by its
-    literal label and later C-X parts chain onto it.
+    literal label and later C-X parts chain onto it. A one-part unit is its
+    part, so without a C- part, in extent order, the units are the parts.
     """
-    args = pred.arguments
-    previous = 0
-    for arg in args:
-        if arg.extent[0] < previous:
-            # both parsers give extent order; a predicate built otherwise may not have it
-            args = sorted(args, key=lambda a: a.extent[0])
-            break
-        previous = arg.extent[0]
-    units: list[list[tuple[str, tuple[int, ...]]]] = []
-    open_idx: dict[tuple[str, bool], int] = {}
-    for arg in args:
-        if arg.label.base == VERB_BASE:
-            continue
-        key = (arg.label.base, arg.label.is_reference)
-        if arg.label.is_continuation and key in open_idx:
-            units[open_idx[key]].append((_TALLY[arg.label], arg.extent))
-        else:
-            units.append([(_TALLY[arg.label], arg.extent)])
-            open_idx[key] = len(units) - 1
-    return [tuple(u) for u in units]
-
-
-def _span_units(pred: PredicateInstance) -> list[tuple]:
-    """A unit is correct iff its full part sequence matches a gold unit. Without
-    a C- part, in extent order, each part is a one-part unit, as chaining makes it."""
     previous = 0
     for label, extent in pred.arguments:
         if label.is_continuation or extent[0] < previous:
-            return [(unit[0][0], unit) for unit in chain_spans(pred)]
+            break
         previous = extent[0]
-    return [(tally, ((tally, extent),)) for label, extent in pred.arguments
-            if label.base != VERB_BASE for tally in (_TALLY[label],)]
+    else:
+        return list(pred.arguments)
+    # both parsers give extent order; a predicate built otherwise may not have it
+    units: list[tuple] = []
+    open_idx: dict[tuple[str, bool], int] = {}
+    for part in sorted(pred.arguments, key=lambda a: a.extent[0]):
+        base, continued, is_ref = part.label
+        if continued and (base, is_ref) in open_idx:
+            units[open_idx[base, is_ref]] += part
+        else:
+            open_idx[base, is_ref] = len(units)
+            units.append(part)
+    return units
+
+
+def _span_units(pred: PredicateInstance) -> list[tuple]:
+    """A unit is correct iff its full part sequence matches a gold unit."""
+    return _units(chain_spans(pred), _LEGACY)
 
 
 def _sense_filter(matched: list[tuple], credited: bool) -> list[tuple]:
@@ -162,7 +157,7 @@ def _sense_filter(matched: list[tuple], credited: bool) -> list[tuple]:
 
 def _reference_filter(matched: list[tuple], credited: bool) -> list[tuple]:
     """An R- unit needs a matched same-base unit that is not a reference."""
-    # a unit's match key is its MergedArgument, whose first field is its label
+    # a unit's match key is a tuple whose first field is its label
     for unit in matched:
         if unit[1][0].is_reference:
             break
@@ -290,14 +285,12 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     for sentence in corpus.sentences:
         predicates += len(sentence.predicates)
         for pred in sentence.predicates:
-            for arg in pred.arguments:
-                if arg.label.base == VERB_BASE:
+            for label, _ in pred.arguments:
+                if (fact := _LEGACY[label]) is None:
                     continue
-                if arg.label.is_continuation:
-                    continuations += 1
-                if arg.label.is_reference:
-                    references += 1
-                per_label[str(arg.label)] += 1
+                continuations += label.is_continuation
+                references += label.is_reference
+                per_label[fact[0]] += 1
     if not per_label:
         raise EmptyCorpus("corpus has no scorable arguments")
     return CorpusStats(len(corpus.sentences), predicates, sum(per_label.values()),

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_head, load_span
 from primesrl import EvalCounts, RoleLabel, SenseLabel, merge_continuations
@@ -69,6 +70,32 @@ class TestRoleLabel:
     def test_round_trip(self):
         for text in ("A0", "C-A1", "R-A0", "R-C-A2", "AM-TMP", "C-AM-LOC", "V"):
             assert str(RoleLabel.parse(text)) == text
+
+    # label texts: both prefix orders, the ARG, ARGM and bare-tag spellings,
+    # unknown bases, bases that the ARG rewrite makes odd (ARGRG0 reads as base
+    # ARG0, which itself reads as A0), and short texts over the prefix letters
+    TEXTS = st.tuples(
+        st.sampled_from(["", "C-", "R-", "C-R-", "R-C-"]),
+        st.sampled_from(["A0", "ARG0", "A1", "ARG1", "AA", "ARGA", "AM-TMP", "ARGM-TMP", "TMP",
+                         "AM-LOC", "LOC", "V", "ARGV", "XYZ", "ARGRG0", "ARG", "A", "ARGM",
+                         "AM-XYZ", "ARGM-XYZ", "ARGC-A0", "ARGR-A0"])
+        | st.text(alphabet="ACGMRV0-", min_size=1, max_size=5),
+    ).map("".join)
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(TEXTS, TEXTS)
+    def test_parsed_labels_compare_as_their_text(self, a, b):
+        # what lets the legacy rows key their units on labels rather than texts
+        try:
+            first, second = RoleLabel.parse(a), RoleLabel.parse(b)
+        except LabelError:
+            assume(False)
+        assert (first == second) == (str(first) == str(second))
+
+    def test_a_prefix_inside_a_hand_built_base_is_not_parsed(self):
+        assert str(RoleLabel("C-A0")) == str(RoleLabel("A0", True))
+        assert RoleLabel("C-A0") != RoleLabel("A0", True)
+        assert RoleLabel.parse("ARGRG0").base == "ARG0" != RoleLabel.parse("ARG0").base
 
 
 def test_label_sort_key_order():

@@ -34,7 +34,7 @@ from primesrl import (
     serialize_conll09,
 )
 from primesrl.conll import TokenMismatch, _corpus_pairs
-from primesrl.model import MODIFIER_TAGS, MergedArgument, PredicateInstance, RawArgument
+from primesrl.model import MODIFIER_TAGS, PredicateInstance, RawArgument
 from primesrl.scoring import (
     CORRECT,
     EmptyCorpus,
@@ -66,6 +66,23 @@ def kept(pairs, metrics: tuple[str, ...], mode: str) -> list:
     for report in reports:
         report.per_sentence = per_sentence[report.metric]
     return reports
+
+
+def chained(parts: list[RawArgument]) -> list[list[RawArgument]]:
+    """Span parts grouped by the README's chaining rule, written apart from
+    ``chain_spans``: in extent order, an unprefixed X opens a unit, and a C-X
+    joins the unit last opened with base X and its reference flag, or opens
+    one when there is none."""
+    units: list[list[RawArgument]] = []
+    for part in sorted(parts, key=lambda p: p.extent[0]):
+        label = part.label
+        opened = [unit for unit in units if (unit[0].label.base, unit[0].label.is_reference)
+                  == (label.base, label.is_reference)]
+        if label.is_continuation and opened:
+            opened[-1].append(part)
+        else:
+            units.append([part])
+    return units
 
 
 def single_pred_corpus(sense):
@@ -316,19 +333,24 @@ class TestUnknownRole:
 class TestChainSpans:
     def test_orphan_then_plain_do_not_chain(self):
         pred = load_span("tax", "tax_p4").sentences[0].predicates[0]
-        units = chain_spans(pred)
-        labels = [[part[0] for part in unit] for unit in units]
-        assert ["C-A0"] in labels and ["A0"] in labels
+        labels = [unit[0::2] for unit in chain_spans(pred)]
+        assert (RoleLabel.parse("C-A0"),) in labels and (RoleLabel.parse("A0"),) in labels
 
     def test_plain_then_continuation_chain(self):
         pred = load_span("tax", "tax_gold").sentences[0].predicates[0]
-        units = chain_spans(pred)
-        assert [("A0", (3,)), ("C-A0", (12,))] in [list(u) for u in units]
+        assert (RoleLabel.parse("A0"), (3,), RoleLabel.parse("C-A0"), (12,)) in chain_spans(pred)
 
     def test_verb_spans_are_excluded(self):
-        pred = load_span("lead", "lead_gold").sentences[0].predicates[0]
-        for unit in chain_spans(pred):
-            assert all(label != "V" for label, _ in unit)
+        lead = load_span("lead", "lead_gold").sentences[0].predicates[0]
+        assert any(label.is_verb for unit in chain_spans(lead) for label in unit[0::2])
+        # a C-V chains onto its V, and the whole unit is dropped, as an R-V is
+        parts = [("V", (1,)), ("A0", (2, 3)), ("C-V", (4,)), ("R-V", (5,)), ("C-A0", (6,))]
+        pred = PredicateInstance(1, None, tuple(RawArgument(RoleLabel.parse(text), extent)
+                                                for text, extent in parts))
+        for p in (lead, pred):
+            assert all(not label.is_verb for _, key, _ in _span_units(p) for label in key[0::2])
+        assert [key for _, key, _ in _span_units(pred)] == \
+            [(RoleLabel("A0"), (2, 3), RoleLabel("A0", True), (6,))]
 
 
 class TestMissingAndSpuriousPredicates:
@@ -502,10 +524,11 @@ class TestRecount:
     @staticmethod
     def units(metric: str, pred: PredicateInstance) -> list[tuple[str, tuple]]:
         """(label, match key) of each unit, from the README's rules for the row."""
+        parts = [a for a in pred.arguments if a.label.base != "V"]
         if metric == "legacy_head":
-            return [(str(a.label), (str(a.label), a.extent)) for a in pred.arguments
-                    if a.label.base != "V"]
-        return [(unit[0][0], unit) for unit in chain_spans(pred)]
+            return [(str(a.label), (str(a.label), a.extent)) for a in parts]
+        return [(str(unit[0].label), tuple((str(a.label), a.extent) for a in unit))
+                for unit in chained(parts)]
 
     @classmethod
     def recount(cls, gold: Corpus, system: Corpus, metric: str) -> dict[str, tuple]:
@@ -524,6 +547,16 @@ class TestRecount:
                         tallies[label_of[key]][field] += n
         return {label: tuple(tally) for label, tally in tallies.items()}
 
+    @classmethod
+    def check(cls, gold: Corpus, system: Corpus) -> None:
+        for metric in METRICS:
+            report = evaluate(gold, system, metric)
+            assert tuple(map(sum, zip((0, 0, 0), *map(counts, report.per_label.values())))) == \
+                counts(report.argument_counts)
+            if metric != "primesrl":
+                assert {label: counts(c) for label, c in report.per_label.items()} == \
+                    cls.recount(gold, system, metric)
+
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]),
            with_sense=st.booleans())
@@ -531,14 +564,39 @@ class TestRecount:
         rng = random.Random(seed)
         gold = random_corpus(rng, n_sentences=12, mode=mode, max_tokens=20, max_preds=4,
                              max_args=5, with_sense=with_sense)
-        system = perturb_corpus(rng, gold)
-        for metric in METRICS:
-            report = evaluate(gold, system, metric)
-            assert tuple(map(sum, zip((0, 0, 0), *map(counts, report.per_label.values())))) == \
-                counts(report.argument_counts)
-            if metric != "primesrl":
-                assert {label: counts(c) for label, c in report.per_label.items()} == \
-                    self.recount(gold, system, metric)
+        self.check(gold, perturb_corpus(rng, gold))
+
+    # part labels in shapes that generated corpora never have: verb parts with
+    # prefixes, orphan C- parts, unknown bases and plain duplicates
+    TEXTS = ("A0", "C-A0", "R-A0", "R-C-A0", "A1", "C-A1", "AM-TMP", "C-AM-TMP",
+             "V", "C-V", "R-V", "XYZ", "C-XYZ", "R-XYZ")
+
+    @classmethod
+    def hand_built(cls, rng: random.Random, mode: str) -> PredicateInstance:
+        """Up to seven parts on distinct first tokens, in extent order or not."""
+        starts = rng.sample(range(1, 16), rng.randint(0, 7))
+        if rng.random() < 0.5:
+            starts.sort()
+        return PredicateInstance(1, SenseLabel("buy", rng.choice(["01", "02"])), tuple(
+            RawArgument(RoleLabel.parse(rng.choice(cls.TEXTS)),
+                        (start,) if mode == "head" else (start, start + 16)[:rng.randint(1, 2)])
+            for start in starts))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["head", "span"]))
+    def test_hand_built_pairs(self, seed, mode):
+        rng = random.Random(seed)
+        tokens = [Token(i, "w") for i in range(1, 33)]
+        sentences = []
+        for _ in range(12):
+            gp = self.hand_built(rng, mode)
+            sp = rng.choice([gp, self.hand_built(rng, mode), PredicateInstance(
+                1, gp.sense, tuple(rng.sample(gp.arguments, len(gp.arguments))))])
+            sentences.append((Sentence(tokens, [gp]), Sentence(tokens, [sp])))
+        gold, system = (Corpus([pair[side] for pair in sentences], mode=mode) for side in (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the unknown base
+            self.check(gold, system)
 
 
 class TestAgreeingPairs:
@@ -606,16 +664,14 @@ class TestLabelTable:
         seen = set()
         for _ in range(2):  # filling the tables, then reading them
             for pred in preds:
-                for tally, unit, core in _strict_units(pred):
-                    assert tally == str(unit.base_label)
-                    assert core == (classify(unit.base_label) == "core")
+                for tally, key, core in _strict_units(pred):
+                    assert tally == str(key[0])
+                    assert core == (classify(key[0]) == "core")
                 parts = [arg for arg in pred.arguments if arg.label.base != "V"]
-                assert _head_units(pred) == [(str(arg.label), (str(arg.label), arg.extent))
-                                             for arg in parts]
-                labels = {arg.extent: str(arg.label) for arg in parts}
-                for unit in chain_spans(pred):
-                    for tally, extent in unit:
-                        assert tally == labels[extent]
+                assert [unit[:2] for unit in _head_units(pred)] == \
+                    [(str(arg.label), arg) for arg in parts]
+                for tally, key, _ in _span_units(pred):
+                    assert tally == str(key[0])
                 seen.update(arg.label for arg in parts)
         # both families, with and without each prefix
         assert {(label.is_core, label.is_continuation, label.is_reference) for label in seen} \
@@ -657,18 +713,23 @@ class TestLabelTable:
 
 
 class TestUnitBuilders:
-    """The strict builder's keys are ``merge_continuations``'s units without the
-    verb units, in the same order, and the legacy span builder's units are the
-    chained ones, for predicates with or without C- parts, in extent order or
-    not."""
+    """Every builder's keys are label-first tuples, tallied under ``str`` of that
+    label, without verb units: the strict keys are ``merge_continuations``'s
+    units, in the same order; the legacy head keys are the parts; the legacy
+    span keys are the chained units, each the flat tuple of its parts, for
+    predicates with or without C- parts, in extent order or not."""
 
     @staticmethod
     def check(preds: list[PredicateInstance]) -> None:
         for pred in preds:
-            keys = [unit for _, unit, _ in _strict_units(pred)]
-            assert keys == [u for u in merge_continuations(pred) if u.base_label.base != "V"]
-            assert all(type(key) is MergedArgument for key in keys)
-            assert _span_units(pred) == [(u[0][0], u) for u in chain_spans(pred)]
+            strict, head, span = (_strict_units(pred), _head_units(pred), _span_units(pred))
+            assert all(tally == str(key[0]) for tally, key, _ in strict + head + span)
+            assert [key for _, key, _ in strict] == \
+                [u for u in merge_continuations(pred) if u.base_label.base != "V"]
+            parts = [a for a in pred.arguments if a.label.base != "V"]
+            assert [key for _, key, _ in head] == parts
+            assert [key for _, key, _ in span] == \
+                [tuple(field for part in unit for field in part) for unit in chained(parts)]
 
     @staticmethod
     def shuffled(rng: random.Random, preds: list[PredicateInstance]) -> list[PredicateInstance]:
