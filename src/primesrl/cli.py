@@ -17,15 +17,12 @@ from .conll import (
     AlignmentError,
     Corpus,
     ParseError,
-    _blocks,
     _conll05_reader,
     _conll09_reader,
     _count_mismatch,
     _pair_blocks,
-    _repeated,
-    _sense_rows,
-    _sense_sidecar,
     _sentence_forms,
+    _sidecar,
 )
 from .model import EvalCounts, ScoreReport
 from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, score_pairs
@@ -126,25 +123,7 @@ def _words(fmt: str, words: str | None, files: contextlib.ExitStack):
         return None
     if words is None:
         raise ConfigError("--format conll05 requires --words TOKEN_FILE")
-    return _sentence_forms(_blocks(_read(words, files)()))
-
-
-def _in_sentence_order(pieces, path: str) -> bool:
-    """Whether the sentence numbers of a sidecar text, given as ``_rows`` takes
-    it, never decrease in file order. The rows before the first decrease are
-    checked as ``_sense_sidecar`` checks them, keeping only the current
-    sentence's tokens, as a repeated key can only be in the same sentence; the
-    rows after it are left to ``_sense_sidecar``."""
-    sentence, tokens = None, set()
-    for key, _, lineno in _sense_rows(pieces, path):
-        if key[0] != sentence:
-            if sentence is not None and key[0] < sentence:
-                return False
-            sentence, tokens = key[0], set()
-        if key[1] in tokens:
-            raise _repeated(key, lineno, path)
-        tokens.add(key[1])
-    return True
+    return _sentence_forms(_read(words, files)())
 
 
 def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack,
@@ -154,18 +133,11 @@ def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.Ex
     files read stay open in ``files``, and ``known`` is the conll05 reader's
     table of parsed props columns.
 
-    A sense sidecar is checked whole first. When its sentence numbers never
-    decrease, the pass reads it again a sentence at a time; otherwise it is
-    held whole."""
+    A sense sidecar is read as ``conll._sidecar`` reads it: checked whole
+    first, then read again a sentence at a time or held whole."""
     if fmt == "conll09":
         return _conll09_reader(_read(path, files)(), path)
-    sidecar, rows = {}, ()
-    if senses is not None:
-        text = _read(senses, files)
-        if _in_sentence_order(text(), senses):
-            rows = _sense_rows(text(), senses)
-        else:
-            sidecar = _sense_sidecar(text(), senses)
+    sidecar, rows = _sidecar(_read(senses, files), senses) if senses is not None else ({}, ())
     return _conll05_reader(words, _read(path, files)(), sidecar, path, rows, known)
 
 

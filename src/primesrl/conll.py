@@ -330,7 +330,7 @@ _PROPS_CELL = re.compile(r"^(?:\((%s))?\*(\))?$" % _SPAN_LABEL.pattern)
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
-    return _sense_sidecar(_chunks(text), path)
+    return _sense_table(_chunks(text), path)
 
 
 def _sense_rows(pieces, path: str | None = None):
@@ -354,25 +354,43 @@ def _sense_rows(pieces, path: str | None = None):
         yield key, sense, lineno
 
 
-def _repeated(key: tuple[int, int], lineno: int, path: str | None) -> ParseError:
-    return ParseError("sentence %d, token %d already has a sense row" % key,
-                      line=lineno, path=path)
+def _sense_table(pieces, path: str | None = None, in_order: bool = False):
+    """The senses of a sidecar text, given as ``_rows`` takes it, by (sentence,
+    token); ParseError at its first bad or repeated row in file order.
 
-
-def _sense_sidecar(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
-    """``parse_sense_sidecar`` of a text given as ``_rows`` takes it."""
+    With ``in_order``, only the current sentence's rows are kept, as a repeated
+    key can then only be in the same sentence, and the first decrease of the
+    sentence numbers returns None, leaving the rows after it unchecked.
+    """
     senses: dict[tuple[int, int], SenseLabel] = {}
+    sentence = None
     for key, sense, lineno in _sense_rows(pieces, path):
+        if in_order and key[0] != sentence:
+            if sentence is not None and key[0] < sentence:
+                return None
+            sentence, senses = key[0], {}
         if key in senses:
-            raise _repeated(key, lineno, path)
+            raise ParseError("sentence %d, token %d already has a sense row" % key,
+                             line=lineno, path=path)
         senses[key] = sense
     return senses
 
 
-def _sentence_forms(word_blocks):
-    """One forms tuple per sentence block of a words file, as ``_conll05_reader``
-    takes them; readers given the same tuples share them."""
-    for _, words in word_blocks:
+def _sidecar(text, path: str):
+    """The two sense inputs of ``_conll05_reader`` for the sidecar at ``path``,
+    whose text ``text()`` gives from its start at each call, as ``_rows`` takes
+    it. The sidecar is checked first; when its sentence numbers never decrease,
+    the pass reads it again a sentence at a time, otherwise it is held whole."""
+    if _sense_table(text(), path, in_order=True) is None:
+        return _sense_table(text(), path), ()
+    return {}, _sense_rows(text(), path)
+
+
+def _sentence_forms(pieces):
+    """One forms tuple per sentence block of a words text, given as ``_rows``
+    takes it, as ``_conll05_reader`` takes them; readers given the same tuples
+    share them."""
+    for _, words in _blocks(pieces):
         yield tuple(words)
 
 
@@ -507,7 +525,7 @@ def parse_conll05(words: str, props: str,
                   path: str | None = None) -> Corpus:
     """A span corpus from a token text and a props text; ``senses`` maps
     (sentence, anchor token) to a sense and is left unmodified."""
-    blocks, parse = _conll05_reader(_sentence_forms(_blocks(_chunks(words))), _chunks(props),
+    blocks, parse = _conll05_reader(_sentence_forms(_chunks(words)), _chunks(props),
                                     dict(senses or {}), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
 

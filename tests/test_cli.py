@@ -361,8 +361,9 @@ class TestSenseSidecar:
                            ("sys.props", serialize_conll05(system)[1])):
             (tmp_path / name).write_text(text)
         held = []
-        monkeypatch.setattr(cli, "_sense_sidecar",
-                            lambda *args: held.append(1) or conll._sense_sidecar(*args))
+        table = conll._sense_table
+        monkeypatch.setattr(conll, "_sense_table", lambda pieces, path, in_order=False:
+                            held.append(in_order) or table(pieces, path, in_order))
         files = ["--format", "conll05", "--words", str(tmp_path / "words"),
                  "--senses", str(tmp_path / "gold.senses"),
                  "--senses-system", str(tmp_path / "sys.senses"),
@@ -377,7 +378,7 @@ class TestSenseSidecar:
             assert run(["compare"] + files) == 0
             outputs.append((capsys.readouterr(), report.read_bytes()))
             # a shuffled sidecar is held whole: both sides, in both runs
-            assert len(held) == (4 if order == "shuffled" else 0)
+            assert held.count(False) == (4 if order == "shuffled" else 0)
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0].err == ""
 
@@ -395,7 +396,8 @@ class TestSenseSidecar:
         sidecar = tmp_path / "gold.senses"
 
         def evaluate(rows: str, gold: str | None = None):
-            sidecar.write_text(rows)
+            # a lone surrogate such as "\udcff" is written as that one byte
+            sidecar.write_text(rows, encoding="utf-8", errors="surrogateescape")
             if gold is not None:
                 props.write_text(gold)
             code = run(["evaluate", "--format", "conll05", "--words", str(words),
@@ -459,6 +461,22 @@ class TestSenseSidecar:
         props = (DATA / "lead_gold.props").read_text()
         gold = props + props.replace("(V*)", "(V*", 1) + "-\n-\n\n"
         assert lead(self.LEAD + "3\t1\n", gold) == (cli.EXIT_PARSE, self.BAD % 3)
+
+    def test_bad_byte_wins_over_a_bad_row_before_it(self, lead):
+        # the sidecar is decoded whole before any of its rows is read
+        rows = self.LEAD.replace("2\t7\tlead.01", "2\t7") + "# c\n3\t1\ta\udcff.01\n"
+        assert lead(rows) == (cli.EXIT_PARSE,
+                              "parse error: SENSES:line 4: byte 0xff is not valid UTF-8\n")
+
+    def test_gold_sidecar_error_wins_over_the_system_one(self, tmp_path, capsys):
+        gold, system = tmp_path / "gold.senses", tmp_path / "sys.senses"
+        gold.write_text("1\t7\tlead.01\n1\t7\n")
+        system.write_text("1\tx\tlead.01\n")
+        code = run(["compare", "--format", "conll05", "--words", path("lead.words"),
+                    "--senses", str(gold), "--senses-system", str(system),
+                    path("lead_gold.props"), path("lead_gold.props")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", self.BAD.replace("SENSES", str(gold)) % 2)
 
 
 class TestSharedSpanColumns:

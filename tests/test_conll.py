@@ -473,7 +473,7 @@ class TestParseSpan:
         props = "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3)
         senses = parse_sense_sidecar("1\t3\tbe.01\n2\t3\tbe.02\n3\t3\tbe.03\n")
         expected = parse_conll05(words, props, senses=senses).sentences
-        blocks, parse = conll._conll05_reader(conll._sentence_forms(conll._blocks([words])),
+        blocks, parse = conll._conll05_reader(conll._sentence_forms([words]),
                                               [props], dict(senses))
         triples = list(itertools.islice(blocks, 3))
         assert [n for n, _, _ in triples] == [1, 2, 3]
@@ -503,7 +503,7 @@ class TestParseSpan:
         text = "".join("%d\t%d\t%s\n" % row if row[2][:1] != "#" else row[2] + "\n"
                        for row in rows)
         whole = self.outcome(lambda: parse_sense_sidecar(text, path="s"))
-        scan = self.outcome(lambda: cli._in_sentence_order([text], path="s"))
+        scan = self.outcome(lambda: conll._sense_table([text], "s", in_order=True) is not None)
         sentences = [n for n, _, sense in rows if "." in sense]
         if scan is False:
             assert sentences != sorted(sentences)
@@ -524,7 +524,7 @@ class TestParseSpan:
         order = data.draw(st.permutations(range(3)))
 
         def parse(senses, rows):
-            blocks, parse = conll._conll05_reader(conll._sentence_forms(conll._blocks([words])),
+            blocks, parse = conll._conll05_reader(conll._sentence_forms([words]),
                                                   [props], senses, "s.props", rows)
             triples = list(itertools.islice(blocks, 3))  # drawn, then parsed in any order
             parsed = [parse(triples[i]) for i in order]
