@@ -8,7 +8,6 @@ import contextlib
 import functools
 import io
 import itertools
-import json
 import os
 import sys
 
@@ -222,6 +221,7 @@ def cmd_evaluate(args) -> int:
     if args.per_label:
         _print_per_label(report.per_label)
     if args.json:
+        import json  # only --json needs it; srl-score start-up skips the import
         flags = {"gold": args.gold, "system": args.system, "format": args.format,
                  "metric": args.metric, "mode": report.mode, "words": args.words,
                  "senses": args.senses, "per_label": args.per_label}

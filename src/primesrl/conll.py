@@ -10,7 +10,8 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     LabelError,
@@ -125,8 +126,7 @@ class Sentence:
         return list(map(Token, range(1, len(self.forms) + 1), self.forms))
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     sentences: list[Sentence]
     mode: str  # "head" | "span"
 
@@ -654,16 +654,14 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
     return "\n".join(words_out), "\n".join(props_out)
 
 
-@dataclass
-class AlignedSentence:
+class AlignedSentence(NamedTuple):
     index: int  # 1-based sentence number
-    pairs: list[tuple[PredicateInstance, PredicateInstance]] = field(default_factory=list)
-    missed: list[PredicateInstance] = field(default_factory=list)
-    spurious: list[PredicateInstance] = field(default_factory=list)
+    pairs: list[tuple[PredicateInstance, PredicateInstance]]
+    missed: list[PredicateInstance]
+    spurious: list[PredicateInstance]
 
 
-@dataclass
-class AlignedCorpus:
+class AlignedCorpus(NamedTuple):
     sentences: list[AlignedSentence]
 
 

@@ -203,17 +203,27 @@ class MergedArgument(NamedTuple):
         return self.base_label.is_reference
 
 
-@dataclass(frozen=True, slots=True)
-class EvalCounts:
+class _CountFields(NamedTuple):
     correct: int = 0
     predicted: int = 0
     gold: int = 0
 
-    def __post_init__(self):
-        if min(self.correct, self.predicted, self.gold) < 0:
+
+class EvalCounts(_CountFields):
+    """Correct, predicted and gold unit counts, checked on construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, correct: int = 0, predicted: int = 0, gold: int = 0):
+        if min(correct, predicted, gold) < 0:
             raise ValueError("negative count")
-        if self.correct > self.predicted or self.correct > self.gold:
+        if correct > predicted or correct > gold:
             raise ValueError("correct exceeds predicted or gold")
+        return tuple.__new__(cls, (correct, predicted, gold))
+
+    @classmethod
+    def _make(cls, iterable) -> "EvalCounts":
+        return cls(*iterable)  # so that _replace checks as well
 
     @property
     def precision(self) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conll import AlignedCorpus, AlignedSentence, Corpus, _align_sentence, _corpus_pairs
 from .model import (
@@ -261,8 +261,7 @@ def _score_aligned(sentences, runs: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 # corpus statistics
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     total_sentences: int
     total_predicates: int
     total_arguments: int  # raw parts before merging, verb spans excluded

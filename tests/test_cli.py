@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -572,3 +575,22 @@ class TestSharedSpanColumns:
         assert gold2.predicates[0].arguments == gold1.predicates[0].arguments
         assert gold2.predicates[0].arguments is not gold1.predicates[0].arguments
         assert system2.predicates[0].arguments is gold2.predicates[0].arguments
+
+
+FOOTPRINT = """
+import sys
+had_json = "json" in sys.modules
+import primesrl.cli
+primesrl.cli.build_parser()
+print(had_json, "json" in sys.modules)
+"""
+
+
+def test_start_up_does_not_import_json():
+    # a fresh interpreter, since pytest has imported json in this one;
+    # only evaluate --json needs the module
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", FOOTPRINT], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    had_json, has_json = run.stdout.split()
+    assert has_json == had_json, run.stdout

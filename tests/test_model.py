@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -124,10 +126,21 @@ class TestEvalCounts:
         assert prf(EvalCounts(3, 3, 3)) == (1.0, 1.0, 1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EvalCounts(2, 1, 3)
-        with pytest.raises(ValueError):
-            EvalCounts(-1, 0, 0)
+        # _make and _replace go through the constructor, so none skips the checks
+        for fields in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (2, 1, 3), (2, 3, 1)]:
+            with pytest.raises(ValueError):
+                EvalCounts(*fields)
+            with pytest.raises(ValueError):
+                EvalCounts._make(fields)
+            with pytest.raises(ValueError):
+                EvalCounts(0, 3, 3)._replace(**dict(zip(EvalCounts._fields, fields)))
+
+    def test_repr_default_and_tuple_behaviour(self):
+        assert repr(EvalCounts(1, 2, 3)) == "EvalCounts(correct=1, predicted=2, gold=3)"
+        assert EvalCounts() == (0, 0, 0)
+        assert EvalCounts(1, 2, 3)._replace(predicted=4) == EvalCounts(1, 4, 3)
+        correct, predicted, gold = EvalCounts(1, 2, 3)
+        assert (correct, predicted, gold) == (1, 2, 3)
 
 
 class TestStructures:
@@ -209,6 +222,22 @@ class TestRecordSemantics:
         assert RawArgument(RoleLabel("A0"), (3,)) == (("A0", False, False), (3,))
         assert sorted([RoleLabel("A1"), RoleLabel("A0", True), RoleLabel("A0")]) == [
             RoleLabel("A0"), RoleLabel("A0", True), RoleLabel("A1")]
+
+    def test_token_and_predicate_stay_frozen_dataclasses(self):
+        # bench/corpus.py:52 and :176 and tests/test_acceptance.py build
+        # changed copies with dataclasses.replace, which a NamedTuple rejects
+        token = Token(1, "w")
+        assert dataclasses.replace(token, form="x") == Token(1, "x")
+        with pytest.raises(ValueError):
+            dataclasses.replace(token, index=0)
+        arg = RawArgument(RoleLabel("A0"), (3,))
+        pred = PredicateInstance(anchor=1, sense=None, arguments=(arg,))
+        assert dataclasses.replace(pred, arguments=()) == PredicateInstance(1, None, ())
+        with pytest.raises(ValueError):
+            dataclasses.replace(pred, arguments=(arg, arg))
+        for record, name, value in [(token, "form", "x"), (pred, "anchor", 2)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, value)
 
     def test_duplicate_argument_message(self):
         arg = RawArgument(RoleLabel("A0"), (3,))
