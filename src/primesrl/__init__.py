@@ -26,6 +26,8 @@ from .conll import (
     parse_conll05,
     parse_conll09,
     parse_sense_sidecar,
+    read,
+    read_pairs,
     serialize_conll05,
     serialize_conll09,
 )
@@ -33,6 +35,7 @@ from .normalize import classify, merge_continuations
 from .scoring import (
     corpus_stats,
     evaluate,
+    score_pairs,
     score_predicates_legacy09,
     score_predicates_primesrl,
 )
@@ -42,6 +45,7 @@ __all__ = [
     "PredicateInstance", "RawArgument", "RoleLabel", "ScoreReport",
     "SenseLabel", "Sentence", "Token", "align", "classify", "corpus_stats",
     "evaluate", "merge_continuations", "parse_conll05", "parse_conll09",
-    "parse_sense_sidecar", "score_predicates_legacy09",
-    "score_predicates_primesrl", "serialize_conll05", "serialize_conll09",
+    "parse_sense_sidecar", "read", "read_pairs", "score_pairs",
+    "score_predicates_legacy09", "score_predicates_primesrl",
+    "serialize_conll05", "serialize_conll09",
 ]

@@ -3,26 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
-import functools
-import io
-import itertools
 import os
 import sys
 
 from . import __version__
-from .conll import (
-    AlignmentError,
-    Corpus,
-    ParseError,
-    _conll05_reader,
-    _conll09_reader,
-    _count_mismatch,
-    _pair_blocks,
-    _sentence_forms,
-    _sidecar,
-)
+from .conll import MODES, AlignmentError, ConfigError, Corpus, ParseError, read, read_pairs
 from .model import EvalCounts, ScoreReport
 from .scoring import EmptyCorpus, MissingGoldSense, corpus_stats, score_pairs
 
@@ -34,147 +20,25 @@ EXIT_CONFIG = 4
 SCHEMA_VERSION = 1
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _bold(text: str) -> str:
     if os.environ.get("PRIME_SRL_NO_COLOR") or not sys.stdout.isatty():
         return text
     return "\033[1m%s\033[0m" % text
 
 
-_CHUNK = 1 << 13  # bytes read from an input at a time
-
-
-def _pieces(handle):
-    """The bytes of the binary file ``handle`` from its position, in pieces of
-    about ``_CHUNK`` bytes that each end just after a newline or at the end of
-    the file. A newline byte is never part of a longer UTF-8 sequence, so each
-    piece decodes on its own, and a ``\r\n`` is never split."""
-    parts = []
-    while chunk := handle.read(_CHUNK):
-        cut = chunk.rfind(b"\n") + 1
-        if cut:
-            parts.append(chunk[:cut])
-            yield b"".join(parts)
-            parts = [chunk[cut:]]
-        else:
-            parts.append(chunk)
-    rest = b"".join(parts)
-    if rest:
-        yield rest
-
-
-def _decoded(handle, path: str):
-    """The text of ``handle`` from its start, without a leading byte order mark,
-    as decoded pieces that ``conll._rows`` reads; ParseError at the first byte
-    that is not UTF-8."""
-    handle.seek(0)
-    offset = 0
-    for piece in _pieces(handle):
-        try:
-            text = piece.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _bad_byte(handle, path, offset + exc.start) from None
-        yield text[1:] if offset == 0 and text.startswith("\ufeff") else text
-        offset += len(piece)
-
-
-def _bad_byte(handle, path: str, offset: int) -> ParseError:
-    """The ParseError for the byte at ``offset``, the first one of the file that
-    is not UTF-8, on the line the parsers would number it with."""
-    handle.seek(0)
-    lines = 0
-    for piece in _pieces(handle):
-        if offset < len(piece):
-            before = piece[:offset].decode("utf-8")
-            return ParseError("byte 0x%02x is not valid UTF-8" % piece[offset],
-                              line=lines + len((before + "_").splitlines()), path=path)
-        # every piece before the last ends with a newline, so lines add up
-        lines += len(piece.decode("utf-8").splitlines())
-        offset -= len(piece)
-    raise AssertionError("offset %d is past the end of the file" % offset)
-
-
-def _read(path: str, files: contextlib.ExitStack):
-    """A function that gives the text of the file at ``path`` as ``_decoded``
-    gives it, from its start at each call.
-
-    The file is opened, into ``files``, and decoded whole first, keeping no
-    text, so that a file that cannot be read or decoded fails here rather than
-    partway through the pass. A file that cannot seek, such as a pipe, is
-    read into memory first.
-    """
-    try:
-        handle = files.enter_context(open(path, "rb"))
-        if not handle.seekable():
-            handle = io.BytesIO(handle.read())
-        collections.deque(_decoded(handle, path), maxlen=0)
-    except OSError as exc:
-        raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
-    return functools.partial(_decoded, handle, path)
-
-
-def _words(fmt: str, words: str | None, files: contextlib.ExitStack):
-    """The forms tuple of each sentence of the conll05 token file; None for conll09."""
-    if fmt == "conll09":
-        return None
-    if words is None:
-        raise ConfigError("--format conll05 requires --words TOKEN_FILE")
-    return _sentence_forms(_read(words, files)())
-
-
-def _stream(path: str, fmt: str, words, senses: str | None, files: contextlib.ExitStack,
-            known=None):
-    """The unparsed sentence blocks of one input file and the function that
-    parses each of them in turn; ``words`` is what ``_words`` returned, the
-    files read stay open in ``files``, and ``known`` is the conll05 reader's
-    table of parsed props columns.
-
-    A sense sidecar is read as ``conll._sidecar`` reads it: checked whole
-    first, then read again a sentence at a time or held whole."""
-    if fmt == "conll09":
-        return _conll09_reader(_read(path, files)(), path)
-    sidecar, rows = _sidecar(_read(senses, files), senses) if senses is not None else ({}, ())
-    return _conll05_reader(words, _read(path, files)(), sidecar, path, rows, known)
-
-
-def _mode(fmt: str) -> str:
-    return "head" if fmt == "conll09" else "span"
-
-
 def load_corpus(path: str, fmt: str, words: str | None) -> Corpus:
-    with contextlib.ExitStack() as files:
-        blocks, parse = _stream(path, fmt, _words(fmt, words, files), None, files)
-        return Corpus(list(map(parse, blocks)), mode=_mode(fmt))
+    return Corpus(list(read(path, fmt, words)), mode=MODES[fmt])
 
 
 def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:
-    """Parse, align and score gold against system in one pass, one report per metric.
-
-    The gold file must have a sentence block before the system file is read.
-    Each gold and system block pair is parsed, gold first, once it is paired;
-    in conll05, both sides share one forms tuple per sentence of the token file,
-    and a system props column equal to a gold one of its sentence is parsed once.
-    """
-    with contextlib.ExitStack() as files:
-        gold_words, system_words = itertools.tee(_words(args.format, args.words, files) or ())
-        known: dict = {}
-        gold, parse_gold = _stream(args.gold, args.format, gold_words, args.senses, files,
-                                   known)
-        first = next(gold, None)
-        if first is None:
-            raise ConfigError("%s: no sentences" % args.gold)
-        system, parse_system = _stream(args.system, args.format, system_words,
-                                       args.senses_system, files, known)
-        pairs = _pair_blocks(itertools.chain([first], gold), system, _count_mismatch)
-        return score_pairs(((n, parse_gold(g), parse_system(s)) for n, g, s in pairs),
-                           metrics, _mode(args.format))
+    """Parse, align and score gold against system in one pass, one report per metric."""
+    with contextlib.closing(read_pairs(args.gold, args.system, args.format, args.words,
+                                       args.senses, args.senses_system)) as pairs:
+        return score_pairs(pairs, metrics, MODES[args.format])
 
 
 def _metric_name(metric: str, fmt: str) -> str:
-    return "legacy_" + _mode(fmt) if metric == "legacy" else metric
+    return "legacy_" + MODES[fmt] if metric == "legacy" else metric
 
 
 def _counts_line(counts: EvalCounts) -> str:
@@ -312,10 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for option in ("senses", "senses_system", "words"):
-            if args.format == "conll09" and getattr(args, option, None) is not None:
-                raise ConfigError("--%s is read only with --format conll05" % option.replace("_", "-"))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a write the buffer held back fails here, not at exit
+        return code
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -324,6 +187,13 @@ def main(argv=None) -> int:
         return EXIT_ALIGN
     except (ConfigError, EmptyCorpus, MissingGoldSense) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # stdout is closed or full; the rest of the output goes nowhere, not to a flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: cannot write standard output: %s" % exc.strerror, file=sys.stderr)
         return EXIT_CONFIG
 
 

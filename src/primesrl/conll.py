@@ -7,6 +7,10 @@ column per target verb, plus a separate one-token-per-line words file).
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
+import io
 import itertools
 import re
 import warnings
@@ -26,6 +30,7 @@ from .model import (
 FILLPRED_COL = 12  # 0-based; column 13 in the format description
 PRED_COL = 13
 FIRST_APRED_COL = 14
+MODES = {"conll09": "head", "conll05": "span"}  # input format -> scoring mode
 _IDS = tuple(map(str, range(1, 1001)))  # CoNLL-2009 token ids 1..1000 as usually written
 
 
@@ -73,6 +78,10 @@ class MalformedSenseWarning(UserWarning):
 
 class ModeMismatch(ValueError):
     pass
+
+
+class ConfigError(Exception):
+    """An input file that cannot be read, or inputs the format does not take."""
 
 
 class AlignmentError(Exception):
@@ -131,29 +140,64 @@ class Corpus(NamedTuple):
     mode: str  # "head" | "span"
 
 
-_CHUNK = 1 << 13  # characters split into lines at a time
+_CHUNK = 1 << 13  # characters or bytes split into lines at a time
 
 
-def _chunks(text: str):
-    """Yield ``text`` without one leading byte order mark in pieces of about
-    ``_CHUNK`` characters, each ending just after a newline, so that splitting
-    each piece into lines gives the lines of the whole text without holding
-    them all at once."""
-    start = 1 if text.startswith("\ufeff") else 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield text[start:end]
-        start = end
+def _pieces(source):
+    """The text of a str, or the bytes of a binary file from its position, in
+    pieces of about ``_CHUNK`` characters or bytes, each ending just after a
+    newline or at the end. A newline byte is never part of a longer UTF-8
+    sequence, so each piece of bytes decodes on its own; ``\\r\\n`` is never split."""
+    if isinstance(source, str):
+        newline = "\n"
+        chunks = (source[i:i + _CHUNK] for i in range(0, len(source), _CHUNK))
+    else:
+        newline = b"\n"
+        chunks = iter(functools.partial(source.read, _CHUNK), b"")
+    parts = []
+    for chunk in chunks:
+        cut = chunk.rfind(newline) + 1
+        if cut:
+            parts.append(chunk[:cut])
+            yield newline[:0].join(parts)
+            parts = [chunk[cut:]]
+        else:
+            parts.append(chunk)
+    rest = newline[:0].join(parts)
+    if rest:
+        yield rest
+
+
+def _decoded(handle, path: str):
+    """The text of the binary file ``handle`` from its start, as decoded
+    ``_pieces``; ParseError at the first byte that is not UTF-8."""
+    handle.seek(0)
+    for n, piece in enumerate(_pieces(handle)):
+        try:
+            text = piece.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the line _rows would number the byte with: every piece before
+            # this one ends with a newline, so their lines add up
+            handle.seek(0)
+            line = sum(len(before.decode("utf-8").splitlines())
+                       for before in itertools.islice(_pieces(handle), n))
+            line += len((piece[:exc.start].decode("utf-8") + "_").splitlines())
+            raise ParseError("byte 0x%02x is not valid UTF-8" % piece[exc.start],
+                             line=line, path=path) from None
+        yield text
 
 
 def _rows(pieces):
     """(line_number, stripped_line) for every line of a text given as decoded
     ``pieces``, each ending just after a newline or at the end of the text.
 
-    Lines and their numbers are those of ``"".join(pieces).splitlines()``. A
-    blank line yields an empty string, which ends a sentence block.
+    Lines and their numbers are those of ``"".join(pieces).splitlines()``
+    less one byte order mark (U+FEFF) that starts the text, which every reader
+    drops here. A blank line yields an empty string, which ends a sentence block.
     """
-    lines = itertools.chain.from_iterable(map(str.splitlines, pieces))
+    pieces = iter(pieces)
+    first = (piece.removeprefix("\ufeff") for piece in itertools.islice(pieces, 1))
+    lines = itertools.chain.from_iterable(map(str.splitlines, itertools.chain(first, pieces)))
     return enumerate(map(str.strip, lines), start=1)
 
 
@@ -320,7 +364,7 @@ def _conll09_reader(pieces, path: str | None = None):
 
 
 def parse_conll09(text: str, path: str | None = None) -> Corpus:
-    blocks, parse = _conll09_reader(_chunks(text), path)
+    blocks, parse = _conll09_reader(_pieces(text), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="head")
 
 
@@ -330,7 +374,7 @@ _PROPS_CELL = re.compile(r"^(?:\((%s))?\*(\))?$" % _SPAN_LABEL.pattern)
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
-    return _sense_table(_chunks(text), path)
+    return _sense_table(_pieces(text), path)
 
 
 def _sense_rows(pieces, path: str | None = None):
@@ -388,8 +432,7 @@ def _sidecar(text, path: str):
 
 def _sentence_forms(pieces):
     """One forms tuple per sentence block of a words text, given as ``_rows``
-    takes it, as ``_conll05_reader`` takes them; readers given the same tuples
-    share them."""
+    takes it, as ``_conll05_reader`` takes them."""
     for _, words in _blocks(pieces):
         yield tuple(words)
 
@@ -525,9 +568,91 @@ def parse_conll05(words: str, props: str,
                   path: str | None = None) -> Corpus:
     """A span corpus from a token text and a props text; ``senses`` maps
     (sentence, anchor token) to a sense and is left unmodified."""
-    blocks, parse = _conll05_reader(_sentence_forms(_chunks(words)), _chunks(props),
+    blocks, parse = _conll05_reader(_sentence_forms(_pieces(words)), _pieces(props),
                                     dict(senses or {}), path)
     return Corpus(sentences=list(map(parse, blocks)), mode="span")
+
+
+def _opened(path: str, files: contextlib.ExitStack):
+    """A function that gives the text of the file at ``path``, opened into
+    ``files``, as ``_decoded`` gives it from its start at each call. The file is
+    decoded whole first, keeping no text, so that it fails here, not in the
+    pass; one that cannot seek, such as a pipe, is held as bytes."""
+    try:
+        handle = files.enter_context(open(path, "rb"))
+        if not handle.seekable():
+            handle = io.BytesIO(handle.read())
+        collections.deque(_decoded(handle, path), maxlen=0)
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc.strerror))
+    return functools.partial(_decoded, handle, path)
+
+
+def _forms(format: str, words: str | None, files: contextlib.ExitStack, **sidecars):
+    """The forms tuple of each sentence of the conll05 ``words`` file, opened
+    into ``files``; None for conll09. ConfigError, before any file is opened,
+    for a words file or sidecar that ``format`` does not read or lacks."""
+    if format not in MODES:
+        raise ValueError("unknown format %r" % format)
+    if format == "conll09":
+        given = [name for name, value in dict(sidecars, words=words).items() if value is not None]
+        if given:
+            raise ConfigError("--%s is read only with --format conll05" % given[0].replace("_", "-"))
+        return None
+    if words is None:
+        raise ConfigError("--format conll05 requires --words TOKEN_FILE")
+    return _sentence_forms(_opened(words, files)())
+
+
+def _reader(path: str, format: str, forms, senses: str | None, files: contextlib.ExitStack,
+            known=None):
+    """The unparsed sentence blocks of the corpus file at ``path`` and the
+    function that parses each of them in turn, as ``_conll09_reader`` or
+    ``_conll05_reader`` gives them for ``_forms``' forms and ``known``."""
+    if format == "conll09":
+        return _conll09_reader(_opened(path, files)(), path)
+    sidecar, rows = _sidecar(_opened(senses, files), senses) if senses is not None else ({}, ())
+    return _conll05_reader(forms, _opened(path, files)(), sidecar, path, rows, known)
+
+
+def read(path: str, format: str, words: str | None = None, senses: str | None = None):
+    """Yield the sentences of the corpus file at ``path`` in file order, as
+    ``parse_conll09`` (``format`` "conll09") or ``parse_conll05`` ("conll05",
+    with the ``words`` file and an optional ``senses`` sidecar) gives them.
+
+    Each file is decoded whole when it is opened, keeping no text, then read
+    again a piece at a time, so memory does not grow with its size. Every file
+    is closed when the sentences end, an error is raised or the generator is closed.
+    """
+    with contextlib.ExitStack() as files:
+        blocks, parse = _reader(path, format, _forms(format, words, files, senses=senses),
+                                senses, files)
+        yield from map(parse, blocks)
+
+
+def read_pairs(gold: str, system: str, format: str, words: str | None = None,
+               senses: str | None = None, senses_system: str | None = None):
+    """Yield (n, gold sentence, system sentence) for each sentence n, from 1, of
+    the gold and system files, each read as ``read`` reads it, for ``score_pairs``.
+
+    A gold file without sentences is a ConfigError before the system files
+    are opened. Each pair is parsed, gold first, once it is drawn. In conll05
+    both sides share one forms tuple per words sentence, and a system props
+    column equal to a gold one of its sentence is parsed once.
+    """
+    with contextlib.ExitStack() as files:
+        forms = _forms(format, words, files, senses=senses, senses_system=senses_system)
+        gold_forms, system_forms = itertools.tee(forms or ())
+        known: dict = {}
+        gold_blocks, parse_gold = _reader(gold, format, gold_forms, senses, files, known)
+        first = next(gold_blocks, None)
+        if first is None:
+            raise ConfigError("%s: no sentences" % gold)
+        system_blocks, parse_system = _reader(system, format, system_forms, senses_system,
+                                              files, known)
+        for n, g, s in _pair_blocks(itertools.chain([first], gold_blocks), system_blocks,
+                                    _count_mismatch):
+            yield n, parse_gold(g), parse_system(s)
 
 
 def _inside(extent: tuple[int, ...], n_tokens: int, what: str) -> None:

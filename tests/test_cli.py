@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -207,7 +208,7 @@ class TestExitCodes:
         if command != "stats" or option == "--words"])
     def test_conll05_option_with_conll09(self, command, option, capsys):
         files = [path("buy_gold.conll")] * (1 if command == "stats" else 2)
-        with mock.patch.object(cli, "_read", side_effect=AssertionError("a file was read")):
+        with mock.patch.object(conll, "_opened", side_effect=AssertionError("a file was read")):
             code = run([command, *files, option, path("no_such_file")])
         assert code == cli.EXIT_CONFIG
         out, err = capsys.readouterr()
@@ -594,3 +595,29 @@ def test_start_up_does_not_import_json():
                          capture_output=True, text=True, timeout=60)
     had_json, has_json = run.stdout.split()
     assert has_json == had_json, run.stdout
+
+
+@pytest.mark.parametrize("stdout, error", [
+    ("pipe", errno.EPIPE),
+    pytest.param("/dev/full", errno.ENOSPC,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+])
+def test_unwritable_stdout_exits_4_without_a_traceback(stdout, error):
+    # a pipe whose read end is closed, as in `srl-score ... | true`, or a full device
+    if stdout == "pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        handle = os.fdopen(write_end, "wb")
+    else:
+        handle = open(stdout, "wb")
+    # buffered, as stdout is by default, so that the write fails only at a flush
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    with handle:
+        run = subprocess.run([sys.executable, "-X", "dev", "-m", "primesrl.cli", "evaluate",
+                              "--per-label", path("buy_gold.conll"), path("buy_p1.conll")],
+                             stdout=handle, stderr=subprocess.PIPE, env=env, text=True,
+                             timeout=60)
+    assert run.returncode == cli.EXIT_CONFIG
+    assert run.stderr == "error: cannot write standard output: %s\n" % os.strerror(error)

@@ -1,13 +1,16 @@
-"""The CLI reads each input a piece at a time from its open file.
+"""The reader reads each input a piece at a time from its open file.
 
-``cli._read`` checks that a whole file decodes, keeping no text, then yields
-it again in decoded pieces. The rows read from those pieces must be the rows
-``conll._rows`` gives for the whole decoded text, at every chunk size; a bad
-byte must still end the run before any sentence is parsed, with the
-``path:line`` the parsers would give; a pipe must score like a regular file;
-and every input must be closed however the run ends.
+``conll._opened`` checks that a whole file decodes, keeping no text, then
+yields it again in decoded pieces. The rows read from those pieces, and from
+the pieces of the same text given as a str, must be the lines of the text
+less one leading byte order mark, at every chunk size; a bad byte must still
+end the run before any sentence is parsed, with the ``path:line`` the parsers
+would give; a pipe must score like a regular file; every input must be
+closed however the run ends; and neither the CLI's nor the library's memory
+may grow with the corpus.
 """
 
+import ast
 import contextlib
 import os
 import random
@@ -34,21 +37,27 @@ TEXTS = [
     "\ufeff",
     "é\x0bü\x1c\n\n\n# x\ny",
     "no newline at all \r",
+    "\ufeff\ufeffa\n",       # only the first of two leading marks is dropped
+    "\ufeff\r\n\ufeff\n",    # a mark alone on the first line leaves it blank
+    "\ufeff\u2028é\n",       # a mark before a multi-byte line break
 ]
 
 
 def _rows_read(tmp: Path, text: str, chunk: int) -> list:
+    """The rows of ``text`` read from a file and from the str, which must agree."""
     path = tmp / "input"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(cli, "_CHUNK", chunk), contextlib.ExitStack() as files:
-        text = cli._read(str(path), files)
-        rows = list(conll._rows(text()))
-        assert list(conll._rows(text())) == rows  # each call reads from the start
+    with mock.patch.object(conll, "_CHUNK", chunk), contextlib.ExitStack() as files:
+        pieces = conll._opened(str(path), files)
+        rows = list(conll._rows(pieces()))
+        assert list(conll._rows(pieces())) == rows  # each call reads from the start
+        assert list(conll._rows(conll._pieces(text))) == rows
         return rows
 
 
 def _expected(text: str) -> list:
-    return list(conll._rows([text[1:] if text.startswith("\ufeff") else text]))
+    lines = text[1:] if text.startswith("\ufeff") else text
+    return [(i, line.strip()) for i, line in enumerate(lines.splitlines(), start=1)]
 
 
 @pytest.mark.parametrize("chunk", range(1, 9))
@@ -66,7 +75,7 @@ def test_file_rows_are_the_rows_of_any_text(text, chunk):
 
 
 def _parse_error(capsys, argv: list[str]) -> str:
-    with mock.patch.object(cli, "_CHUNK", 16):
+    with mock.patch.object(conll, "_CHUNK", 16):
         assert cli.main(argv) == cli.EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == ""
@@ -178,7 +187,7 @@ def test_inputs_are_closed_however_the_run_ends(exit_code, n_inputs, tmp_path, c
         opened.append(open(*args, **kwargs))
         return opened[-1]
 
-    with mock.patch.object(cli, "open", tracking_open, create=True):
+    with mock.patch.object(conll, "open", tracking_open, create=True):
         code, _, err = _main(argv, capsys)
     assert code == exit_code, err
     assert len(opened) == n_inputs
@@ -228,9 +237,20 @@ print(tracemalloc.get_traced_memory()[1])
 """
 
 
-def _peak(argv: list[str]) -> int:
+# the same, for the library's read_pairs and score_pairs on two conll09 files
+LIBRARY_PEAK = """
+import sys, tracemalloc
+from primesrl import read_pairs, score_pairs
+score_pairs(read_pairs(*sys.argv[1:], "conll09"), ("primesrl",), "head")
+tracemalloc.start()
+score_pairs(read_pairs(*sys.argv[1:], "conll09"), ("primesrl",), "head")
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _peak(argv: list[str], script: str = PEAK) -> int:
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    run = subprocess.run([sys.executable, "-c", PEAK, *argv], env=env, check=True,
+    run = subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     return int(run.stdout)
 
@@ -248,3 +268,28 @@ def test_span_peak_memory_does_not_grow_with_the_corpus(tmp_path):
     # each sidecar is taken a sentence at a time; what may grow is per-reader
     # tables, such as the conll05 reader's table of distinct spans
     assert growth <= 2 * Path(large[-2]).stat().st_size, growth
+
+
+def test_library_peak_memory_does_not_grow_with_the_corpus(tmp_path):
+    small, large = _corpus(tmp_path / "small", 200)[1:], _corpus(tmp_path / "large", 2000)[1:]
+    growth = _peak(large, LIBRARY_PEAK) - _peak(small, LIBRARY_PEAK)
+    assert growth <= Path(large[0]).stat().st_size / 12, growth
+
+
+def test_the_cli_reads_input_only_through_the_public_reader():
+    package = Path(cli.__file__).parent
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("conll", "primesrl.conll")
+               for alias in node.names if alias.name.startswith("_")]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "conll" and node.attr.startswith("_")]
+    assert private == []
+    # one piece source: one chunk size, defined in conll
+    chunks = [path.name for path in sorted(package.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and target.id == "_CHUNK"]
+    assert chunks == ["conll.py"]

@@ -1,15 +1,17 @@
-"""The CLI's one streaming pass: the same scores as the library, and which error wins.
+"""The one streaming pass: the same scores as the library, and which error wins.
 
 ``evaluate`` and ``compare`` parse, align and score the gold and system files
-one sentence at a time. Their reports must equal library ``evaluate`` on the
-fully parsed corpora, whose predicate counts the predicate scorers repeat,
-and on a file with several problems the first one met in file order (gold
-parse, then system parse, then alignment) decides the exit code.
+one sentence at a time, through ``read_pairs`` and ``score_pairs``. Their
+reports must equal library ``evaluate`` on the fully parsed corpora, whose
+predicate counts the predicate scorers repeat, and on a file with several
+problems the first one met in file order (gold parse, then system parse, then
+alignment) decides the exit code.
 """
 
 import contextlib
 import io
 import itertools
+import json
 import random
 import tempfile
 import warnings
@@ -19,9 +21,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import counts
+from conftest import DATA, counts
 from corpusgen import perturb_corpus, random_corpus
-from pin_outputs import MALFORMED, RENAMED, SENTENCE
+from pin_outputs import MALFORMED, RENAMED, SENTENCE, _sidecar as pred_sidecar
 from primesrl import (
     align,
     cli,
@@ -29,6 +31,8 @@ from primesrl import (
     parse_conll05,
     parse_conll09,
     parse_sense_sidecar,
+    read_pairs,
+    score_pairs,
     serialize_conll05,
     serialize_conll09,
     score_predicates_legacy09,
@@ -36,7 +40,7 @@ from primesrl import (
 )
 from primesrl import conll
 from primesrl.conll import ParseError
-from primesrl.scoring import score_pairs, score_predicates_trivial
+from primesrl.scoring import score_predicates_trivial
 
 
 def _sidecar(corpus) -> str:
@@ -118,6 +122,70 @@ def test_streamed_scores_equal_the_library(seed, mode, with_sense):
         assert [r.metric for r in streamed] == [legacy, "primesrl"]
         for report in streamed:
             _same(report, library[report.metric])
+
+
+def _fixture_runs():
+    """(format, family, system, with sidecars) for every system file of every
+    tests/data family, in each format the family has."""
+    for gold in sorted(DATA.glob("*_gold.conll")):
+        family = gold.name.split("_")[0]
+        for system in sorted(DATA.glob(family + "_p*.conll")):
+            yield "conll09", family, system.stem, False
+            if (DATA / (family + ".words")).exists():
+                yield "conll05", family, system.stem, False
+                yield "conll05", family, system.stem, True
+
+
+def _library_runs(fmt: str, family: str, system: str, with_senses: bool, tmp: Path):
+    """The inputs of one fixture run as ``read_pairs`` arguments, as CLI input
+    arguments, and as corpora parsed with ``parse_conll09`` or ``parse_conll05``."""
+    if fmt == "conll09":
+        paths = [str(DATA / (family + "_gold.conll")), str(DATA / (system + ".conll"))]
+        corpora = [parse_conll09(Path(p).read_text(encoding="utf-8"), p) for p in paths]
+        return paths, {}, paths, corpora
+    paths = [str(DATA / (family + "_gold.props")), str(DATA / (system + ".props"))]
+    options = {"words": str(DATA / (family + ".words"))}
+    argv = ["--format", "conll05", "--words", options["words"]]
+    if with_senses:
+        # the sidecars hold the matching conll09 files' PRED cells
+        for option, name in (("senses", family + "_gold"), ("senses_system", system)):
+            sidecar = tmp / (name + ".senses")
+            sidecar.write_text(pred_sidecar((DATA / (name + ".conll")).read_text()))
+            options[option] = str(sidecar)
+            argv += ["--" + option.replace("_", "-"), str(sidecar)]
+    words = Path(options["words"]).read_text(encoding="utf-8")
+    senses = [options.get(option) for option in ("senses", "senses_system")]
+    corpora = [parse_conll05(words, Path(p).read_text(encoding="utf-8"),
+                             sidecar and parse_sense_sidecar(Path(sidecar).read_text(), sidecar),
+                             path=p)
+               for p, sidecar in zip(paths, senses)]
+    return paths, options, argv + paths, corpora
+
+
+@pytest.mark.parametrize("fmt, family, system, with_senses", list(_fixture_runs()))
+def test_read_pairs_scores_as_the_parsers_and_the_cli(fmt, family, system, with_senses,
+                                                      tmp_path, capsys):
+    paths, options, argv, (gold, system_corpus) = _library_runs(fmt, family, system,
+                                                                with_senses, tmp_path)
+    mode = conll.MODES[fmt]
+    metrics = ("primesrl", "legacy_" + mode)
+    per_sentence = {metric: [] for metric in metrics}
+    streamed = score_pairs(read_pairs(*paths, fmt, **options), metrics, mode,
+                           lambda metric, c: per_sentence[metric].append(c))
+    for report, metric in zip(streamed, metrics):
+        report.per_sentence = per_sentence[metric]
+        _same(report, evaluate(gold, system_corpus, metric))
+        # the CLI's --json report of the same run
+        out = tmp_path / "report.json"
+        assert cli.main(["evaluate", "--metric", metric.split("_")[0], "--per-label",
+                         "--json", str(out), *argv]) == cli.EXIT_OK
+        capsys.readouterr()
+        written = json.loads(out.read_text(encoding="utf-8"))
+        assert (written["metric"], written["mode"]) == (metric, mode)
+        assert written["predicates"] == cli._counts_json(report.predicate_counts)
+        assert written["arguments"] == cli._counts_json(report.argument_counts)
+        assert written["per_label"] == {label: cli._counts_json(c)
+                                        for label, c in report.per_label.items()}
 
 
 def _columns_permuted(corpus, props: str, rng: random.Random) -> tuple[str, str]:
@@ -240,17 +308,19 @@ def test_words_props_count_mismatch_counts_without_parsing(words_n, props_n):
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(text=st.text(alphabet="a #\t\n\r\x0b\x1c\x85\u2028", max_size=40),
+@given(text=st.text(alphabet="a #\t\n\r\x0b\x1c\x85\u2028\ufeff", max_size=40),
        chunk=st.integers(1, 8), comments=st.booleans())
 def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk, comments):
-    rows = [(i, line.strip()) for i, line in enumerate(text.splitlines(), start=1)]
+    # one leading byte order mark is dropped; it is not a line break
+    lines = text[1:] if text.startswith("\ufeff") else text
+    rows = [(i, line.strip()) for i, line in enumerate(lines.splitlines(), start=1)]
     # with comments, a line that starts with # is dropped and does not end a block
     kept = [row for row in rows if not (comments and row[1].startswith("#"))]
     blocks = [list(group) for nonblank, group in itertools.groupby(kept, lambda row: bool(row[1]))
               if nonblank]
     with mock.patch.object(conll, "_CHUNK", chunk):
-        assert list(conll._rows(conll._chunks(text))) == rows
+        assert list(conll._rows(conll._pieces(text))) == rows
         # each block as its line numbers and its lines
         assert [(list(numbers), lines) for numbers, lines
-                in conll._blocks(conll._chunks(text), comments)] == [
+                in conll._blocks(conll._pieces(text), comments)] == [
             ([n for n, _ in block], [line for _, line in block]) for block in blocks]
