@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -175,6 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # Python's stdout when fd 1 was closed at start-up
+        print("error: cannot write standard output: %s" % os.strerror(errno.EBADF),
+              file=sys.stderr)
+        return EXIT_CONFIG
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a write the buffer held back fails here, not at exit

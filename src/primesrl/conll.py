@@ -247,24 +247,12 @@ def _pair_blocks(first, second, mismatch):
         raise mismatch(n, n + rest)
 
 
-def _role(labels: dict[str, RoleLabel], cell: str, lineno: int,
-          path: str | None) -> RoleLabel:
-    """The role label of ``cell``, parsed once per distinct cell into ``labels``."""
-    label = labels.get(cell)
-    if label is None:
-        try:
-            label = labels[cell] = RoleLabel.parse(cell)
-        except LabelError as exc:
-            raise ParseError(str(exc), line=lineno, path=path)
-    return label
-
-
 def _conll09_reader(pieces, path: str | None = None):
     """The unparsed sentence blocks of a CoNLL-2009 text, given as ``_rows``
     takes it, and the function that parses one of them."""
-    # Parsed records are frozen, so each distinct cell is parsed, checked and
-    # built once per reader and the result is shared by every row that repeats it.
-    labels: dict[str, RoleLabel] = {}
+    # Parsed records are frozen, so each distinct sense cell, and argument cell
+    # at its token, is parsed, checked and built once per reader and the result
+    # is shared by every row that repeats it.
     heads: dict[tuple[str, int], RawArgument] = {}
     senses: dict[str, SenseLabel] = {}
 
@@ -301,9 +289,9 @@ def _conll09_reader(pieces, path: str | None = None):
             for cell in cols[FIRST_APRED_COL:]:
                 if cell != "_":
                     try:
-                        _role(labels, cell, lineno, path)
-                    except ParseError as exc:
-                        return exc
+                        RoleLabel.parse(cell)
+                    except LabelError as exc:
+                        return ParseError(str(exc), line=lineno, path=path)
         raise AssertionError("block passes every row check")
 
     def parse(block) -> Sentence:
@@ -334,13 +322,10 @@ def _conll09_reader(pieces, path: str | None = None):
                                                   map("_".__ne__, column)):
                 arg = heads.get((cell, index))
                 if arg is None:
-                    label = labels.get(cell)
-                    if label is None:
-                        try:
-                            label = labels[cell] = RoleLabel.parse(cell)
-                        except LabelError:
-                            raise first_problem(block) from None
-                    arg = heads[cell, index] = RawArgument(label, (index,))
+                    try:
+                        arg = heads[cell, index] = RawArgument(RoleLabel.parse(cell), (index,))
+                    except LabelError:
+                        raise first_problem(block) from None
                 args.append(arg)
             arguments.append(tuple(args))
 
@@ -368,8 +353,7 @@ def parse_conll09(text: str, path: str | None = None) -> Corpus:
     return Corpus(sentences=list(map(parse, blocks)), mode="head")
 
 
-_SPAN_LABEL = re.compile(r"[^\s()*]+")
-_PROPS_CELL = re.compile(r"^(?:\((%s))?\*(\))?$" % _SPAN_LABEL.pattern)
+_PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
 
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
@@ -520,7 +504,12 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
                     raise OverlappingSpan(
                         "span %s opened inside an open %s span" % (opened, open_label),
                         line=numbers[i], path=path)
-                open_label = labels.get(opened) or _role(labels, opened, numbers[i], path)
+                open_label = labels.get(opened)
+                if open_label is None:
+                    try:
+                        open_label = labels[opened] = RoleLabel.parse(opened)
+                    except LabelError as exc:
+                        raise ParseError(str(exc), line=numbers[i], path=path)
                 open_text = opened
                 open_start = i
             if closed is not None:
@@ -655,77 +644,75 @@ def read_pairs(gold: str, system: str, format: str, words: str | None = None,
             yield n, parse_gold(g), parse_system(s)
 
 
-def _inside(extent: tuple[int, ...], n_tokens: int, what: str) -> None:
-    if extent[0] < 1 or extent[-1] > n_tokens:
-        raise ValueError("%s %s is outside tokens 1..%d" % (what, extent, n_tokens))
+def _read_back_form(pred: PredicateInstance, span: bool) -> PredicateInstance:
+    """The predicate as its parser gives it back: arguments by first token and,
+    with ``span``, a V part at the anchor when none is a V part."""
+    args = list(pred.arguments)
+    if span and not any(arg.label.base == VERB_BASE for arg in args):
+        args.append(RawArgument(label=RoleLabel(VERB_BASE), extent=(pred.anchor,)))
+    args.sort(key=lambda arg: arg.extent[0])
+    return PredicateInstance(pred.anchor, pred.sense, tuple(args))
 
 
-def _in_anchor_order(sentence: Sentence) -> list[PredicateInstance]:
-    """The sentence's predicates in anchor order, the order both parsers give;
-    ValueError for an anchor that is outside the sentence or repeats."""
-    predicates = sorted(sentence.predicates, key=lambda p: p.anchor)
-    previous = 0
-    for pred in predicates:
-        _inside((pred.anchor,), len(sentence.forms), "predicate anchor")
-        if pred.anchor == previous:
-            raise ValueError("two predicates anchored at token %d" % previous)
-        previous = pred.anchor
-    return predicates
+def _difference(sentence: Sentence, back: Sentence | None, span: bool) -> str | None:
+    """What differs between ``sentence``, with its predicates in anchor order
+    and in ``_read_back_form``, and ``back``, read back in its place."""
+    if back is None or back.forms != sentence.forms:
+        return "its tokens differ"
+    for pred, got in itertools.zip_longest(sorted(sentence.predicates, key=lambda p: p.anchor),
+                                           back.predicates):
+        if pred is None or got != _read_back_form(pred, span):
+            return "predicate at token %d differs" % (pred or got).anchor
+    return None
 
 
-def _cell(text: str, what: str) -> str:
-    """``text`` as one whitespace-separated column; ValueError when it is empty or
-    holds whitespace."""
-    if text.split() != [text]:
-        raise ValueError("%s %r is empty or contains whitespace" % (what, text))
-    return text
+def _read_back(sentences, reader, span: bool) -> None:
+    """Read a serializer's text back, one sentence at a time, with the parser's
+    ``reader`` (blocks, parse) of it; ValueError at the first of ``sentences``
+    whose block fails to parse or has a ``_difference``.
 
-
-def _role_cell(label: RoleLabel, span: bool) -> str:
-    """``str(label)``; ValueError unless it is one cell of the format, with no
-    whitespace and, in conll09, not the empty APRED cell ``_`` or, in conll05,
-    no bracket or ``*``, and it parses back to ``label``."""
-    text = str(label)
-    fits = _SPAN_LABEL.fullmatch(text) if span else text.split() == [text] and text != "_"
-    if not fits or RoleLabel.parse(text) != label:
-        raise ValueError("role label %r does not read back as itself" % (text,))
-    return text
-
-
-def _has_tokens(n: int, sentence: Sentence) -> None:
-    # an empty sentence would be written as a blank line, that is, as no sentence
-    if not sentence.forms:
-        raise ValueError("sentence %d has no tokens" % n)
+    A sentence that reads back equal was written as exactly one block, so the
+    text holds no block after the last sentence's."""
+    blocks, parse = reader
+    with warnings.catch_warnings():
+        # a sense cell that is not lemma.sense reads back as no sense, which differs
+        warnings.simplefilter("ignore", MalformedSenseWarning)
+        for n, sentence in enumerate(sentences, start=1):
+            try:
+                block = next(blocks, None)
+                problem = _difference(sentence, None if block is None else parse(block), span)
+            except ParseError as exc:
+                problem = str(exc)
+            if problem is not None:
+                raise ValueError("sentence %d does not read back: %s" % (n, problem))
 
 
 def serialize_conll09(corpus: Corpus) -> str:
     if corpus.mode != "head":
         raise ModeMismatch("CoNLL-2009 output requires a head-mode corpus")
     out = []
-    for n, sentence in enumerate(corpus.sentences, start=1):
-        _has_tokens(n, sentence)
-        predicates = _in_anchor_order(sentence)
-        apred = [["_"] * len(sentence.forms) for _ in predicates]
+    for sentence in corpus.sentences:
+        n_tokens = len(sentence.forms)
+        predicates = sorted(sentence.predicates, key=lambda p: p.anchor)
+        apred = [["_"] * n_tokens for _ in predicates]
         for k, pred in enumerate(predicates):
             for arg in pred.arguments:
                 if len(arg.extent) != 1:
                     raise ModeMismatch("head-mode argument with multi-token extent")
-                _inside(arg.extent, len(sentence.forms), "argument")
-                i = arg.extent[0] - 1
-                if apred[k][i] != "_":
-                    raise ValueError("two labels on one token for one predicate")
-                apred[k][i] = _role_cell(arg.label, span=False)
+                if 0 < arg.extent[0] <= n_tokens:
+                    apred[k][arg.extent[0] - 1] = str(arg.label)
         pred_by_anchor = {p.anchor: p for p in predicates}
         for index, form in enumerate(sentence.forms, start=1):
             pred = pred_by_anchor.get(index)
             fillpred = "Y" if pred is not None else "_"
-            sense = (_cell(str(pred.sense), "sense") if pred is not None and pred.sense is not None
-                     else "_")
-            cols = ([str(index), _cell(form, "form")] + ["_"] * 10 + [fillpred, sense]
+            sense = str(pred.sense) if pred is not None and pred.sense is not None else "_"
+            cols = ([str(index), form] + ["_"] * 10 + [fillpred, sense]
                     + [column[index - 1] for column in apred])
             out.append("\t".join(cols))
         out.append("")
-    return "\n".join(out)
+    text = "\n".join(out)
+    _read_back(corpus.sentences, _conll09_reader(_pieces(text)), span=False)
+    return text
 
 
 def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
@@ -733,50 +720,37 @@ def serialize_conll05(corpus: Corpus) -> tuple[str, str]:
         raise ModeMismatch("CoNLL-2005 output requires a span-mode corpus")
     words_out = []
     props_out = []
+    senses: dict[tuple[int, int], SenseLabel] = {}
     for n, sentence in enumerate(corpus.sentences, start=1):
-        _has_tokens(n, sentence)
         n_tokens = len(sentence.forms)
         col0 = ["-"] * n_tokens
         columns = []
-        for pred in _in_anchor_order(sentence):
-            opens = [""] * n_tokens
-            closes = [""] * n_tokens
-            parts = list(pred.arguments)
-            if not any(p.label.base == VERB_BASE for p in parts):
-                parts.append(RawArgument(label=RoleLabel(VERB_BASE),
-                                         extent=(pred.anchor,)))
-            parts.sort(key=lambda p: p.extent[0])
-            verb = next(p for p in parts if p.label.base == VERB_BASE)
-            if verb.extent[0] != pred.anchor:
-                raise ValueError("first V part starts at token %d, not at the anchor %d"
-                                 % (verb.extent[0], pred.anchor))
-            # the parser reads one open span at a time, so each part must start
-            # after the previous one ends
-            end = 0
-            for part in parts:
-                if list(part.extent) != list(range(part.extent[0], part.extent[-1] + 1)):
-                    raise ValueError("span part %s is not contiguous" % (part.extent,))
-                _inside(part.extent, n_tokens, "span part")
-                if part.extent[0] <= end:
-                    raise ValueError("overlapping span parts in one predicate column")
-                end = part.extent[-1]
-                opens[part.extent[0] - 1] = "(" + _role_cell(part.label, span=True)
-                closes[end - 1] = ")"
-            columns.append([opens[i] + "*" + closes[i] for i in range(n_tokens)])
-            lemma = pred.sense.lemma if pred.sense is not None else \
-                sentence.forms[pred.anchor - 1]
-            col0[pred.anchor - 1] = _cell(lemma, "lemma")
+        for pred in sorted(sentence.predicates, key=lambda p: p.anchor):
+            cells = ["*"] * n_tokens
+            for part in _read_back_form(pred, span=True).arguments:
+                start, end = part.extent[0], part.extent[-1]
+                if 0 < start and end <= n_tokens:
+                    cells[start - 1] = "(" + str(part.label) + cells[start - 1]
+                    cells[end - 1] += ")"
+            columns.append(cells)
+            if pred.sense is not None:
+                senses[n, pred.anchor] = pred.sense
+            if 0 < pred.anchor <= n_tokens:
+                lemma = pred.sense.lemma if pred.sense is not None else \
+                    sentence.forms[pred.anchor - 1]
+                if lemma.split() != [lemma]:  # the one column that no reader reads back
+                    raise ValueError("sentence %d does not read back: lemma %r is not one props "
+                                     "cell" % (n, lemma))
+                col0[pred.anchor - 1] = lemma
         for i, form in enumerate(sentence.forms):
-            # a words line is read stripped, and the text's first character
-            # is dropped when it is a byte order mark
-            if (form.strip() != form or form.splitlines() != [form]
-                    or (not words_out and form.startswith("\ufeff"))):
-                raise ValueError("form %r does not read back as one words line" % (form,))
             words_out.append(form)
             props_out.append("\t".join([col0[i]] + [col[i] for col in columns]))
         words_out.append("")
         props_out.append("")
-    return "\n".join(words_out), "\n".join(props_out)
+    words, props = "\n".join(words_out), "\n".join(props_out)
+    _read_back(corpus.sentences,
+               _conll05_reader(_sentence_forms(_pieces(words)), _pieces(props), senses), span=True)
+    return words, props
 
 
 class AlignedSentence(NamedTuple):

@@ -309,6 +309,9 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str, sink=None) -> list[S
     given, is called as ``sink(metric, counts)`` with each sentence's argument
     counts, in order; the reports keep no per-sentence records.
     """
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ValueError("unknown metric %r" % metric)
     # one _score_aligned run per metric
     runs = [(*METRICS[metric], [0, 0, 0], defaultdict(lambda: [0, 0, 0]),
              None if sink is None else functools.partial(sink, metric)) for metric in metrics]
@@ -325,8 +328,6 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str, sink=None) -> list[S
 
 def evaluate(gold: Corpus, system: Corpus, metric: str) -> ScoreReport:
     """Score a gold/system pair with one metric; the report takes the gold corpus's mode."""
-    if metric not in METRICS:
-        raise ValueError("unknown metric %r" % metric)
     per_sentence: list[EvalCounts] = []
     [report] = score_pairs(_corpus_pairs(gold, system), (metric,), gold.mode,
                            lambda _, counts: per_sentence.append(counts))

@@ -621,3 +621,15 @@ def test_unwritable_stdout_exits_4_without_a_traceback(stdout, error):
                              timeout=60)
     assert run.returncode == cli.EXIT_CONFIG
     assert run.stderr == "error: cannot write standard output: %s\n" % os.strerror(error)
+
+
+@pytest.mark.parametrize("gold", ["buy_gold.conll", "missing.conll"])
+def test_closed_stdout_exits_4_before_reading_input(gold):
+    # `srl-score ... >&-`: Python starts with sys.stdout None; a missing gold
+    # file shows that no input is read first
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    run = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-X", "dev",
+                          "-m", "primesrl.cli", "evaluate", path(gold), path("buy_p1.conll")],
+                         stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    assert run.returncode == cli.EXIT_CONFIG
+    assert run.stderr == "error: cannot write standard output: %s\n" % os.strerror(errno.EBADF)

@@ -650,8 +650,9 @@ class TestSerialize:
             serialize_conll09(self.one_predicate("head", ("A0", (3, 4))))
 
     def test_two_head_labels_on_one_token(self):
-        with pytest.raises(ValueError, match="two labels on one token"):
+        with pytest.raises(ValueError) as err:
             serialize_conll09(self.one_predicate("head", ("A0", (3,)), ("A1", (3,))))
+        assert str(err.value) == "sentence 1 does not read back: predicate at token 2 differs"
 
     def test_span_predicate_without_a_verb_part_gets_one_at_its_anchor(self):
         words, props = serialize_conll05(self.one_predicate("span", ("A1", (3, 4))))
@@ -661,13 +662,17 @@ class TestSerialize:
                                                                        ("A1", (3, 4))]
 
     def test_non_contiguous_span_part(self):
-        with pytest.raises(ValueError, match="not contiguous"):
+        with pytest.raises(ValueError) as err:
             serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A1", (1, 3))))
+        assert str(err.value) == ("sentence 1 does not read back: line 2: span V opened inside "
+                                  "an open A1 span")
 
     def test_overlapping_span_parts(self):
-        with pytest.raises(ValueError, match="overlapping"):
+        with pytest.raises(ValueError) as err:
             serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A0", (3, 4)),
                                                  ("A1", (3,))))
+        assert str(err.value) == ("sentence 1 does not read back: line 3: malformed props cell "
+                                  "'(A1(A0*)'")
 
     def test_head_predicates_are_written_in_anchor_order(self):
         # the k-th APRED column belongs to the k-th predicate row in token order
@@ -681,37 +686,51 @@ class TestSerialize:
     @pytest.mark.parametrize("anchor", [0, 5])
     def test_anchor_outside_the_sentence(self, mode, anchor):
         serialize = serialize_conll09 if mode == "head" else serialize_conll05
-        with pytest.raises(ValueError, match="predicate anchor"):
+        with pytest.raises(ValueError) as err:
             serialize(self.one_predicate(mode, anchor=anchor))
+        # the anchor is not written: its argument column is left without a
+        # predicate row, or its props column without a V span
+        assert str(err.value) == "sentence 1 does not read back: line 1: " + {
+            "head": "row has 1 argument columns but the sentence has 0 predicate rows",
+            "span": "predicate column 1 has no V span"}[mode]
 
     @pytest.mark.parametrize("mode", ["head", "span"])
     def test_two_predicates_at_one_anchor(self, mode):
         corpus = self.one_predicate(mode)
         corpus.sentences[0].predicates *= 2
         serialize = serialize_conll09 if mode == "head" else serialize_conll05
-        with pytest.raises(ValueError, match="two predicates anchored at token 2"):
+        with pytest.raises(ValueError) as err:
             serialize(corpus)
+        assert str(err.value) == "sentence 1 does not read back: " + {
+            "head": "line 1: row has 2 argument columns but the sentence has 1 predicate rows",
+            "span": "line 2: predicate columns 1 and 2 both anchor at token 2"}[mode]
 
     @pytest.mark.parametrize("extent", [(0,), (5,)])
     def test_head_argument_outside_the_sentence(self, extent):
-        with pytest.raises(ValueError, match="outside tokens 1..4"):
+        with pytest.raises(ValueError) as err:
             serialize_conll09(self.one_predicate("head", ("A0", extent)))
+        assert str(err.value) == "sentence 1 does not read back: predicate at token 2 differs"
 
     @pytest.mark.parametrize("extent", [(0,), (4, 5)])
     def test_span_part_outside_the_sentence(self, extent):
-        with pytest.raises(ValueError, match="outside tokens 1..4"):
+        with pytest.raises(ValueError) as err:
             serialize_conll05(self.one_predicate("span", ("V", (2,)), ("A0", extent)))
+        assert str(err.value) == "sentence 1 does not read back: predicate at token 2 differs"
 
     @pytest.mark.parametrize("parts", [(("A0", (2, 3)), ("A1", (3, 4))),
                                        (("A0", (2, 3, 4)), ("A1", (3,)))],
                              ids=["crossing", "nested"])
     def test_span_parts_that_share_a_token(self, parts):
-        with pytest.raises(ValueError, match="overlapping"):
+        with pytest.raises(ValueError) as err:
             serialize_conll05(self.one_predicate("span", ("V", (1,)), *parts, anchor=1))
+        assert str(err.value) == ("sentence 1 does not read back: line 3: span A1 opened inside "
+                                  "an open A0 span")
 
     def test_first_verb_part_away_from_the_anchor(self):
-        with pytest.raises(ValueError, match="first V part starts at token 3, not at the anchor 2"):
+        # the parser anchors the column at its first V part
+        with pytest.raises(ValueError) as err:
             serialize_conll05(self.one_predicate("span", ("V", (3,))))
+        assert str(err.value) == "sentence 1 does not read back: predicate at token 2 differs"
 
     @pytest.mark.parametrize("mode, form, lemma, label", [
         ("head", "", "be", "A0"),
@@ -744,16 +763,51 @@ class TestSerialize:
         corpus = self.one_predicate(mode)
         corpus.sentences.insert(0, Sentence([], []))
         serialize = serialize_conll09 if mode == "head" else serialize_conll05
-        with pytest.raises(ValueError, match="sentence 1 has no tokens"):
+        # it is written as a blank line, so sentence 2 reads back in its place
+        with pytest.raises(ValueError) as err:
             serialize(corpus)
+        assert str(err.value) == "sentence 1 does not read back: its tokens differ"
+
+    @pytest.mark.parametrize("mode", ["head", "span"])
+    def test_last_sentence_without_tokens(self, mode):
+        corpus = self.one_predicate(mode)
+        corpus.sentences.append(Sentence([], []))
+        serialize = serialize_conll09 if mode == "head" else serialize_conll05
+        with pytest.raises(ValueError) as err:
+            serialize(corpus)
+        assert str(err.value) == "sentence 2 does not read back: its tokens differ"
+
+    def test_sense_cell_that_reads_back_malformed_warns_nothing(self):
+        # "a b.01" splits into a PRED cell "a" and an APRED cell "b.01", and the
+        # empty label's cell closes the gap, so the row reads back with the
+        # sense "a", which the parser warns about
+        sentence = Sentence([Token(1, "w")], [PredicateInstance(
+            1, SenseLabel("a b", "01"), (RawArgument(RoleLabel(""), (1,)),))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                serialize_conll09(Corpus([sentence], "head"))
+        assert str(err.value) == "sentence 1 does not read back: predicate at token 1 differs"
+
+    @pytest.mark.parametrize("lemma", [" be", "be\t", "b e"])
+    def test_span_lemma_that_is_not_one_props_cell(self, lemma):
+        # no parser reads the lemma column, and a line is read stripped, so
+        # only the writer can tell that " be" would come back as "be"
+        sentence = Sentence([Token(1, "w1"), Token(2, "w2")],
+                            [PredicateInstance(2, SenseLabel(lemma, "01"), ())])
+        with pytest.raises(ValueError) as err:
+            serialize_conll05(Corpus([sentence], "span"))
+        assert str(err.value) == ("sentence 1 does not read back: lemma %r is not one props cell"
+                                  % lemma)
 
     def test_byte_order_mark_that_would_start_a_words_file(self):
         # a parser drops one mark at the start of its text, and a words file
         # starts with a form
         first = Sentence([Token(1, "\ufeffw")], [])
         assert parse_conll09(serialize_conll09(Corpus([first], "head"))).sentences == [first]
-        with pytest.raises(ValueError, match="one words line"):
+        with pytest.raises(ValueError) as err:
             serialize_conll05(Corpus([first], "span"))
+        assert str(err.value) == "sentence 1 does not read back: its tokens differ"
         later = Sentence([Token(1, "w"), Token(2, "\ufeffw")], [])
         assert parse_conll05(*serialize_conll05(Corpus([later], "span"))).sentences == [later]
 

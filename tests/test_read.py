@@ -194,6 +194,18 @@ def test_inputs_are_closed_however_the_run_ends(exit_code, n_inputs, tmp_path, c
     assert all(handle.closed for handle in opened)
 
 
+
+@pytest.mark.parametrize("read", [
+    lambda gold: conll.read(gold, "conll12"),
+    lambda gold: conll.read_pairs(gold, gold, "conll12")], ids=["read", "read_pairs"])
+def test_unknown_format_is_named_before_any_file_is_opened(read):
+    gold = str(DATA / "buy_gold.conll")
+    with mock.patch.object(conll, "open", create=True) as opened:
+        with pytest.raises(ValueError) as err:
+            next(read(gold))
+    assert str(err.value) == "unknown format 'conll12'"
+    opened.assert_not_called()
+
 def _corpus(tmp: Path, n_sentences: int) -> list[str]:
     """``evaluate`` arguments for a generated head corpus of ``n_sentences``."""
     tmp.mkdir()

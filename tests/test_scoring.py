@@ -414,6 +414,17 @@ class TestEvaluateDispatch:
         with pytest.raises(ValueError):
             evaluate(corpus, corpus, "bleu")
 
+    def test_unknown_metric_is_named_before_any_pair_is_drawn(self):
+        drawn = []
+        pairs = (drawn.append(n) or (n, None, None) for n in range(1, 3))
+        with pytest.raises(ValueError) as err:
+            score_pairs(pairs, ("primesrl", "bogus"), "head")
+        assert str(err.value) == "unknown metric 'bogus'" and drawn == []
+        # corpora that cannot be paired: the name is checked first
+        with pytest.raises(ValueError) as err:
+            evaluate(load_head("buy_gold"), Corpus([], "head"), "bogus")
+        assert str(err.value) == "unknown metric 'bogus'"
+
     @pytest.mark.parametrize("score", [align, lambda g, s: evaluate(g, s, "primesrl")],
                              ids=["align", "evaluate"])
     def test_first_problem_in_order_wins_over_the_sentence_count(self, score):
