@@ -235,12 +235,14 @@ def _score_sentence(sent: AlignedSentence, units, filters, rule, predicates: lis
 
 
 def _score_aligned(sentences, runs: list[tuple]) -> None:
-    """Tally aligned sentences, drawn one at a time, into each run: (unit builder,
-    argument filters, predicate rule, predicate tally, label -> tally defaultdict,
-    per-sentence record function or None). Gold without senses credits every
-    pair; as that is a whole-corpus question, gold mixing sensed and sense-less
-    predicates raises MissingGoldSense at the end when some run has a predicate
-    rule."""
+    """Tally aligned sentences, in the order ``sentences`` gives them, into each
+    run: (unit builder, argument filters, predicate rule, predicate tally, label
+    -> tally defaultdict, per-sentence record function or None). Each sentence
+    is scored for every run before the next one is taken from ``sentences``,
+    so an error raised by ``sentences`` leaves the tallies of every sentence
+    it gave before. Gold without senses credits every pair; as that is a
+    whole-corpus question, gold mixing sensed and sense-less predicates raises
+    MissingGoldSense at the end when some run has a predicate rule."""
     sensed = False  # whether some gold predicate has a sense
     unsensed = None  # (sentence, anchor) of the first gold predicate without one
     for sent in sentences:
@@ -301,13 +303,38 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
 # ---------------------------------------------------------------------------
 # dispatch
 
+_BATCH = 64  # pairs drawn and aligned before any is scored, so each stage runs warm
+
+
+def _aligned_batches(pairs):
+    """Align (n, gold, system) triples and yield the aligned sentences a batch
+    of ``_BATCH`` at a time, once the whole batch is drawn and aligned. When
+    drawing or aligning sentence k raises, the sentences before k in its batch
+    are yielded and then the error is raised; no triple past k is drawn."""
+    batch = []
+    try:
+        for triple in pairs:
+            batch.append(_align_sentence(*triple))
+            if len(batch) == _BATCH:
+                yield from batch
+                batch = []
+    except Exception:
+        yield from batch
+        raise
+    yield from batch
+
+
 def score_pairs(pairs, metrics: tuple[str, ...], mode: str, sink=None) -> list[ScoreReport]:
     """Align and score (n, gold, system) sentence triples in one pass; one report per metric.
 
-    Pairs are drawn, aligned and scored one at a time, so an error raised
-    while drawing or aligning sentence k stops the pass there. ``sink``, when
-    given, is called as ``sink(metric, counts)`` with each sentence's argument
-    counts, in order; the reports keep no per-sentence records.
+    Pairs are drawn and aligned in batches of ``_BATCH``, and each batch is
+    then scored sentence by sentence, so at most one batch is held at a time
+    and the warnings raised while drawing a batch come before those raised
+    while scoring it. An error raised while drawing or aligning sentence k
+    stops the pass there: the sentences before k are scored, and no pair after
+    k is drawn. ``sink``, when given, is called as ``sink(metric, counts)``
+    with each sentence's argument counts, in order; the reports keep no
+    per-sentence records.
     """
     for metric in metrics:
         if metric not in METRICS:
@@ -315,7 +342,7 @@ def score_pairs(pairs, metrics: tuple[str, ...], mode: str, sink=None) -> list[S
     # one _score_aligned run per metric
     runs = [(*METRICS[metric], [0, 0, 0], defaultdict(lambda: [0, 0, 0]),
              None if sink is None else functools.partial(sink, metric)) for metric in metrics]
-    _score_aligned((_align_sentence(*triple) for triple in pairs), runs)
+    _score_aligned(_aligned_batches(pairs), runs)
     # every unit is in exactly one label's tally
     return [ScoreReport(metric=metric, mode=mode,
                         predicate_counts=EvalCounts(*predicates),

@@ -21,8 +21,12 @@ The sweep:
     is not UTF-8; ``--format conll05`` without ``--words``; PRED cells
     that are not ``lemma.sense`` in both files; gold without senses against
     a wrong-sense system and sensed gold against a system without senses;
-    and sense sidecar rows that name no predicate (one token off, or a
-    sentence past the end), on the gold side and on the system side.
+    sense sidecar rows that name no predicate (one token off, or a
+    sentence past the end), on the gold side and on the system side; and,
+    past the first batch of sentences that ``score_pairs`` draws before it
+    scores them, an unknown role base, then a PRED cell that is not
+    ``lemma.sense``, then a form mismatch, so that the parse warning comes
+    before the unit warning and both before the alignment error.
 
 Run ``PYTHONPATH=src python tests/pin_outputs.py`` to rewrite
 tests/data/outputs.json; it first prints each command whose digest was
@@ -64,6 +68,8 @@ def _sidecar(conll09: str) -> str:
 SENTENCE = (DATA / "buy_gold.conll").read_text().strip() + "\n\n"
 RENAMED = SENTENCE.replace("John", "Mary")  # same rows, one other token form
 MALFORMED = SENTENCE.replace("\tA0\n", "\n")  # a row loses its argument column
+UNKNOWN = SENTENCE.replace("\tA0\n", "\tA9\n")  # an unknown role base, which warns when scored
+UNSENSED = SENTENCE.replace("buy.01", "buy")  # a PRED cell that is not lemma.sense
 
 
 def _sentences(*sentences: str) -> bytes:
@@ -86,6 +92,10 @@ ERROR_INPUTS = {
     "lead_off.senses": b"1\t6\tlead.01\n",
     "lead_02.senses": b"1\t7\tlead.02\n",
     "lead_s9.senses": b"1\t7\tlead.01\n9\t7\tlead.01\n",
+    # 70 sentences: sentences 66-68 are in the second batch of 64 that score_pairs draws
+    "seventy_unknown66.conll": _sentences(*[SENTENCE] * 65, UNKNOWN, *[SENTENCE] * 4),
+    "seventy_unknown66_unsensed67_renamed68.conll": _sentences(
+        *[SENTENCE] * 65, UNKNOWN, UNSENSED, RENAMED, SENTENCE, SENTENCE),
 }
 LEAD = ["--format", "conll05", "--words", "lead.words"]
 ERROR_COMMANDS = [
@@ -97,6 +107,7 @@ ERROR_COMMANDS = [
     ["evaluate", "empty.conll", "three_bad3.conll"],
     ["evaluate", "three_bad1.conll", "latin1.conll"],
     ["evaluate", "--format", "conll05", "tax_gold.props", "tax_p1.props"],
+    ["evaluate", "seventy_unknown66.conll", "seventy_unknown66_unsensed67_renamed68.conll"],
     ["evaluate", "unsensed.conll", "unsensed.conll"],
     *([*command, gold, system] for gold, system in (("unsensed.conll", "two_sell.conll"),
                                                     ("two.conll", "unsensed.conll"))

@@ -1,11 +1,12 @@
 """The one streaming pass: the same scores as the library, and which error wins.
 
-``evaluate`` and ``compare`` parse, align and score the gold and system files
-one sentence at a time, through ``read_pairs`` and ``score_pairs``. Their
-reports must equal library ``evaluate`` on the fully parsed corpora, whose
-predicate counts the predicate scorers repeat, and on a file with several
-problems the first one met in file order (gold parse, then system parse, then
-alignment) decides the exit code.
+``evaluate`` and ``compare`` parse and align the gold and system files a batch
+of sentences at a time, then score the batch, through ``read_pairs`` and
+``score_pairs``. Their reports must equal library ``evaluate`` on the fully
+parsed corpora, whose predicate counts the predicate scorers repeat, also
+across batch boundaries; on a file with several problems the first one met in
+file order (gold parse, then system parse, then alignment) decides the exit
+code, and the sentences before it are scored.
 """
 
 import contextlib
@@ -39,8 +40,8 @@ from primesrl import (
     score_predicates_primesrl,
 )
 from primesrl import conll
-from primesrl.conll import ParseError
-from primesrl.scoring import score_predicates_trivial
+from primesrl.conll import ParseError, SentenceCountMismatch, TokenMismatch
+from primesrl.scoring import _BATCH, score_predicates_trivial
 
 
 def _sidecar(corpus) -> str:
@@ -324,3 +325,92 @@ def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk, comments):
         assert [(list(numbers), lines) for numbers, lines
                 in conll._blocks(conll._pieces(text), comments)] == [
             ([n for n, _ in block], [line for _, line in block]) for block in blocks]
+
+
+# ---------------------------------------------------------------------------
+# batches: scores across batch boundaries, and what an error leaves scored
+
+def _read_pairs(io_args: list[str]):
+    """``read_pairs`` on the inputs that ``_write``'s CLI arguments name."""
+    *options, gold, system = io_args
+    kwargs = {flag[2:].replace("-", "_"): value for flag, value in zip(options[::2], options[1::2])}
+    return read_pairs(gold, system, kwargs.pop("format", "conll09"), **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["head", "span"])
+def test_scores_across_batch_boundaries_equal_the_library(mode, tmp_path, capsys):
+    # three batches, the last of one sentence; span data comes with both sidecars
+    rng = random.Random(5)
+    gold = random_corpus(rng, n_sentences=2 * _BATCH + 1, mode=mode, max_tokens=20,
+                         max_preds=4, max_args=5, with_sense=True)
+    io_args, gold_parsed, system_parsed = _write(tmp_path, gold, perturb_corpus(rng, gold))
+    metrics = ("primesrl", "legacy_" + mode)
+    library = {metric: evaluate(gold_parsed, system_parsed, metric) for metric in metrics}
+    per_sentence = {metric: [] for metric in metrics}
+    streamed = score_pairs(_read_pairs(io_args), metrics, mode,
+                           lambda metric, c: per_sentence[metric].append(c))
+    for report in streamed:
+        report.per_sentence = per_sentence[report.metric]
+        _same(report, library[report.metric])
+    for report in _streamed_reports(["compare", *io_args]):
+        _same(report, library[report.metric])
+    # the CLI's bytes, from its own pass and from the library's reports
+    report = tmp_path / "report.json"
+    library_pass = mock.patch.object(cli, "_score",
+                                     lambda args, names: [library[name] for name in names])
+    for command in (["evaluate", "--per-label", "--json", str(report)],
+                    ["evaluate", "--metric", "legacy", "--per-label", "--json", str(report)],
+                    ["compare"]):
+        outputs = []
+        for scoring in (contextlib.nullcontext(), library_pass):
+            with scoring:
+                assert cli.main([*command, *io_args]) == cli.EXIT_OK
+            outputs.append((capsys.readouterr(), report.exists() and report.read_bytes()))
+            report.unlink(missing_ok=True)
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("k", [1, _BATCH // 2, _BATCH, _BATCH + 1, _BATCH + _BATCH // 2],
+                         ids=["first", "mid-batch", "batch-end", "next-batch", "mid-next-batch"])
+@pytest.mark.parametrize("problem", ["parse", "count", "forms"])
+def test_an_error_at_pair_k_leaves_the_pairs_before_it_scored(k, problem):
+    # gold sentence i has the unknown role base Qi, so scoring it warns once,
+    # naming i; every second system sentence flips the sense
+    n = 2 * _BATCH + 1
+    gold = parse_conll09(_sentences(n, **{"s%d" % i: SENTENCE.replace("\tA0\n", "\tQ%d\n" % i)
+                                          for i in range(1, n + 1)}))
+    system = parse_conll09(_sentences(n, **{"s%d" % i: SENTENCE.replace("buy.01", "sell.01")
+                                            for i in range(2, n + 1, 2)}))
+    metrics = ("primesrl", "legacy_head")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = {metric: evaluate(gold, system, metric).per_sentence[:k - 1]
+                    for metric in metrics}
+    error = {"parse": ParseError("bad row", line=1, path="gold.conll"),
+             "count": SentenceCountMismatch("gold has %d sentences, system has %d" % (k, n)),
+             "forms": None}[problem]
+    drawn = []
+
+    def pairs():
+        # drawing pair k raises, or gives a system sentence with other forms
+        for i, g, s in zip(itertools.count(1), gold.sentences, system.sentences):
+            drawn.append(i)
+            if i == k:
+                if error is not None:
+                    raise error
+                s = parse_conll09(RENAMED).sentences[0]
+            yield i, g, s
+
+    seen = {metric: [] for metric in metrics}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TokenMismatch if error is None else type(error)) as raised:
+            score_pairs(pairs(), metrics, "head", lambda metric, c: seen[metric].append(c))
+    assert drawn == list(range(1, k + 1))
+    assert seen == expected
+    assert [str(w.message) for w in caught] == [
+        "treating unknown role base 'Q%d' as a modifier" % i for i in range(1, k)]
+    if error is None:
+        assert str(raised.value) == "sentence %d, token 3: form 'John' != 'Mary'" % k
+    else:
+        assert raised.value is error
