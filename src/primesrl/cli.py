@@ -28,7 +28,8 @@ def _bold(text: str) -> str:
 
 
 def load_corpus(path: str, fmt: str, words: str | None) -> Corpus:
-    return Corpus(list(read(path, fmt, words)), mode=MODES[fmt])
+    """The corpus at ``path``, its sentences parsed as they are read, once."""
+    return Corpus(read(path, fmt, words), mode=MODES[fmt])
 
 
 def _score(args, metrics: tuple[str, ...]) -> list[ScoreReport]:

@@ -202,30 +202,22 @@ def _rows(pieces):
 
 
 def _blocks(pieces, comments: bool = False):
-    """Yield (line_numbers, lines) per sentence of the text in ``pieces``, as
-    ``_rows`` reads it: its stripped lines and their line numbers, a ``range``
-    unless a skipped line follows the block's first line. With ``comments``,
-    lines that start with ``#`` are skipped and do not end a sentence."""
+    """Yield (line_numbers, lines) per sentence of the text in ``pieces``: two
+    lists, the numbers and the stripped lines as ``_rows`` reads them. With
+    ``comments``, lines that start with ``#`` are skipped and do not end a
+    sentence."""
+    numbers: list[int] = []
     lines: list[str] = []
-    skipped: list[int] = []  # comment lines after the block's first line
     for lineno, line in _rows(pieces):
         if line:
             if not (comments and line[0] == "#"):
+                numbers.append(lineno)
                 lines.append(line)
-            elif lines:
-                skipped.append(lineno)
         elif lines:
-            yield _numbered(lines, skipped, lineno)
-            lines, skipped = [], []
+            yield numbers, lines
+            numbers, lines = [], []
     if lines:
-        yield _numbered(lines, skipped, lineno + 1)
-
-
-def _numbered(lines: list[str], skipped: list[int], end: int):
-    """(line_numbers, lines) of a block whose lines and ``skipped`` line numbers
-    fill the lines just before line ``end``."""
-    numbers = range(end - len(lines) - len(skipped), end)
-    return (numbers if not skipped else [n for n in numbers if n not in skipped]), lines
+        yield numbers, lines
 
 
 def _sentences(n: int) -> str:

@@ -281,9 +281,10 @@ class CorpusStats(NamedTuple):
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
-    predicates = continuations = references = 0
+    """The statistics of ``corpus``, whose sentences are read once, in order."""
+    sentences = predicates = continuations = references = 0
     per_label: Counter[str] = Counter()
-    for sentence in corpus.sentences:
+    for sentences, sentence in enumerate(corpus.sentences, start=1):
         predicates += len(sentence.predicates)
         for pred in sentence.predicates:
             for label, _ in pred.arguments:
@@ -294,7 +295,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
                 per_label[fact[0]] += 1
     if not per_label:
         raise EmptyCorpus("corpus has no scorable arguments")
-    return CorpusStats(len(corpus.sentences), predicates, sum(per_label.values()),
+    return CorpusStats(sentences, predicates, sum(per_label.values()),
                        continuations, references,
                        {label: per_label[label]
                         for label in sorted(per_label, key=label_sort_key)})

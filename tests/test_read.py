@@ -282,6 +282,19 @@ def test_span_peak_memory_does_not_grow_with_the_corpus(tmp_path):
     assert growth <= 2 * Path(large[-2]).stat().st_size, growth
 
 
+# stats keeps counts, not sentences; what may grow is per-reader tables,
+# bounded as for evaluate, and for conll05 as for compare's one props file
+@pytest.mark.parametrize("make, bound", [(_corpus, 1 / 12), (_span_corpus, 1)],
+                         ids=["conll09", "conll05"])
+def test_stats_peak_memory_does_not_grow_with_the_corpus(make, bound, tmp_path):
+    small, large = make(tmp_path / "small", 200), make(tmp_path / "large", 2000)
+    # the gold file alone, after conll05's --format and --words
+    small, large = (["stats", *(argv[1:5] if argv[1] == "--format" else []), argv[-2]]
+                    for argv in (small, large))
+    growth = _peak(large) - _peak(small)
+    assert growth <= bound * Path(large[-1]).stat().st_size, growth
+
+
 def test_library_peak_memory_does_not_grow_with_the_corpus(tmp_path):
     small, large = _corpus(tmp_path / "small", 200)[1:], _corpus(tmp_path / "large", 2000)[1:]
     growth = _peak(large, LIBRARY_PEAK) - _peak(small, LIBRARY_PEAK)

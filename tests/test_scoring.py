@@ -28,12 +28,13 @@ from primesrl import (
     normalize,
     parse_conll05,
     parse_conll09,
+    read,
     score_predicates_legacy09,
     score_predicates_primesrl,
     serialize_conll05,
     serialize_conll09,
 )
-from primesrl.conll import TokenMismatch, _corpus_pairs
+from primesrl.conll import ParseError, TokenMismatch, _corpus_pairs
 from primesrl.model import MODIFIER_TAGS, PredicateInstance, RawArgument
 from primesrl.scoring import (
     CORRECT,
@@ -397,6 +398,33 @@ class TestCorpusStats:
         corpus = single_pred_corpus("buy.01")
         with pytest.raises(EmptyCorpus):
             corpus_stats(corpus)
+
+    @pytest.mark.parametrize("path", sorted(path.name for path in DATA.glob("*.conll"))
+                             + sorted(path.name for path in DATA.glob("*.props")))
+    def test_sentences_read_once_give_the_stats_of_the_parsed_corpus(self, path):
+        name, suffix = path.split(".")
+        if suffix == "conll":
+            parsed, sentences = load_head(name), read(str(DATA / path), "conll09")
+        else:
+            words = name.split("_")[0]
+            parsed = load_span(words, name)
+            sentences = read(str(DATA / path), "conll05", str(DATA / (words + ".words")))
+        assert corpus_stats(Corpus(sentences, parsed.mode)) == corpus_stats(parsed)
+        assert next(sentences, None) is None
+
+    def test_empty_corpus_is_known_only_after_the_whole_file(self, tmp_path):
+        path = tmp_path / "gold.conll"
+        empty = serialize_conll09(single_pred_corpus("buy.01"))
+        path.write_text(empty + "\n" + empty, encoding="utf-8")
+        sentences = read(str(path), "conll09")
+        with pytest.raises(EmptyCorpus):
+            corpus_stats(Corpus(sentences, "head"))
+        assert next(sentences, None) is None
+        # a bad line after sentences without arguments is reported, not the empty corpus
+        path.write_text(empty + "\n1\tstares\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            corpus_stats(Corpus(read(str(path), "conll09"), "head"))
+        assert err.value.line == 3
 
 
 class TestEvaluateDispatch:

@@ -321,9 +321,8 @@ def test_rows_read_in_chunks_are_the_lines_of_splitlines(text, chunk, comments):
               if nonblank]
     with mock.patch.object(conll, "_CHUNK", chunk):
         assert list(conll._rows(conll._pieces(text))) == rows
-        # each block as its line numbers and its lines
-        assert [(list(numbers), lines) for numbers, lines
-                in conll._blocks(conll._pieces(text), comments)] == [
+        # each block as two lists: its line numbers and its lines
+        assert list(conll._blocks(conll._pieces(text), comments)) == [
             ([n for n, _ in block], [line for _, line in block]) for block in blocks]
 
 
