@@ -31,7 +31,7 @@ FILLPRED_COL = 12  # 0-based; column 13 in the format description
 PRED_COL = 13
 FIRST_APRED_COL = 14
 MODES = {"conll09": "head", "conll05": "span"}  # input format -> scoring mode
-_IDS = tuple(map(str, range(1, 1001)))  # CoNLL-2009 token ids 1..1000 as usually written
+_IDS = list(map(str, range(1, 1001)))  # CoNLL-2009 token ids 1..1000 as usually written
 
 
 class ParseError(Exception):
@@ -239,13 +239,15 @@ def _pair_blocks(first, second, mismatch):
         raise mismatch(n, n + rest)
 
 
-def _conll09_reader(pieces, path: str | None = None):
+def _conll09_reader(pieces, path: str | None = None, heads=None):
     """The unparsed sentence blocks of a CoNLL-2009 text, given as ``_rows``
-    takes it, and the function that parses one of them."""
+    takes it, and the function that parses one of them. Readers given the same
+    ``heads`` table, from (argument cell, token) to its record, parse a cell
+    that repeats at the same token once and share its record."""
     # Parsed records are frozen, so each distinct sense cell, and argument cell
-    # at its token, is parsed, checked and built once per reader and the result
-    # is shared by every row that repeats it.
-    heads: dict[tuple[str, int], RawArgument] = {}
+    # at its token, is parsed, checked and built once per reader (argument cells
+    # once per heads table) and the result is shared by every row that repeats it.
+    heads: dict[tuple[str, int], RawArgument] = {} if heads is None else heads
     senses: dict[str, SenseLabel] = {}
 
     def first_problem(block) -> ParseError:
@@ -293,14 +295,14 @@ def _conll09_reader(pieces, path: str | None = None):
         widths = set(map(len, rows))
         if min(widths) < FIRST_APRED_COL:
             raise first_problem(block)
-        columns = list(zip(*rows))
-        anchors = list(itertools.compress(range(1, n + 1), map("Y".__eq__, columns[FILLPRED_COL])))
+        anchors = [i for i, row in enumerate(rows, start=1) if row[FILLPRED_COL] == "Y"]
         if widths != {FIRST_APRED_COL + len(anchors)}:
             raise first_problem(block)
-        if columns[0] != _IDS[:n]:
+        ids = [row[0] for row in rows]
+        if ids != _IDS[:n]:
             # ids spelled otherwise, such as 01 or +2, or past the end of _IDS
             try:
-                numbered = list(map(int, columns[0])) == list(range(1, n + 1))
+                numbered = list(map(int, ids)) == list(range(1, n + 1))
             except ValueError:
                 numbered = False
             if not numbered:
@@ -308,22 +310,23 @@ def _conll09_reader(pieces, path: str | None = None):
 
         # every argument column, before any sense warning
         arguments = []
-        for column in columns[FIRST_APRED_COL:]:
+        for k in range(FIRST_APRED_COL, FIRST_APRED_COL + len(anchors)):
             args = []
-            for index, cell in itertools.compress(enumerate(column, start=1),
-                                                  map("_".__ne__, column)):
-                arg = heads.get((cell, index))
-                if arg is None:
-                    try:
-                        arg = heads[cell, index] = RawArgument(RoleLabel.parse(cell), (index,))
-                    except LabelError:
-                        raise first_problem(block) from None
-                args.append(arg)
+            for index, row in enumerate(rows, start=1):
+                cell = row[k]
+                if cell != "_":
+                    arg = heads.get((cell, index))
+                    if arg is None:
+                        try:
+                            arg = heads[cell, index] = RawArgument(RoleLabel.parse(cell), (index,))
+                        except LabelError:
+                            raise first_problem(block) from None
+                    args.append(arg)
             arguments.append(tuple(args))
 
         predicates = []
         for anchor, args in zip(anchors, arguments):
-            cell = columns[PRED_COL][anchor - 1]
+            cell = rows[anchor - 1][PRED_COL]
             sense = senses.get(cell)
             if sense is None and cell != "_":
                 try:
@@ -335,7 +338,7 @@ def _conll09_reader(pieces, path: str | None = None):
                                                  line=numbers[anchor - 1], path=path)),
                                   MalformedSenseWarning)
             predicates.append(PredicateInstance._parsed(anchor, sense, args))
-        return Sentence._of_forms(columns[1], predicates)
+        return Sentence._of_forms(tuple([row[1] for row in rows]), predicates)
 
     return _blocks(pieces, comments=True), parse
 
@@ -589,9 +592,10 @@ def _reader(path: str, format: str, forms, senses: str | None, files: contextlib
             known=None):
     """The unparsed sentence blocks of the corpus file at ``path`` and the
     function that parses each of them in turn, as ``_conll09_reader`` or
-    ``_conll05_reader`` gives them for ``_forms``' forms and ``known``."""
+    ``_conll05_reader`` gives them for ``_forms``' forms and ``known``, the
+    ``heads`` table of the one or the ``known`` table of the other."""
     if format == "conll09":
-        return _conll09_reader(_opened(path, files)(), path)
+        return _conll09_reader(_opened(path, files)(), path, known)
     sidecar, rows = _sidecar(_opened(senses, files), senses) if senses is not None else ({}, ())
     return _conll05_reader(forms, _opened(path, files)(), sidecar, path, rows, known)
 
@@ -619,7 +623,9 @@ def read_pairs(gold: str, system: str, format: str, words: str | None = None,
     A gold file without sentences is a ConfigError before the system files
     are opened. Each pair is parsed, gold first, once it is drawn. In conll05
     both sides share one forms tuple per words sentence, and a system props
-    column equal to a gold one of its sentence is parsed once.
+    column equal to a gold one of its sentence is parsed once. In conll09 both
+    sides share one table of argument records, so a system argument cell
+    equal to a gold one at the same token is parsed once, into the same record.
     """
     with contextlib.ExitStack() as files:
         forms = _forms(format, words, files, senses=senses, senses_system=senses_system)
