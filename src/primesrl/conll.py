@@ -7,6 +7,7 @@ column per target verb, plus a separate one-token-per-line words file).
 
 from __future__ import annotations
 
+import bisect
 import collections
 import contextlib
 import functools
@@ -187,17 +188,23 @@ def _decoded(handle, path: str):
         yield text
 
 
+def _unmarked(pieces):
+    """Decoded ``pieces`` of a text less one byte order mark (U+FEFF) that
+    starts the text, which every reader drops."""
+    pieces = iter(pieces)
+    first = (piece.removeprefix("\ufeff") for piece in itertools.islice(pieces, 1))
+    return itertools.chain(first, pieces)
+
+
 def _rows(pieces):
     """(line_number, stripped_line) for every line of a text given as decoded
     ``pieces``, each ending just after a newline or at the end of the text.
 
     Lines and their numbers are those of ``"".join(pieces).splitlines()``
-    less one byte order mark (U+FEFF) that starts the text, which every reader
-    drops here. A blank line yields an empty string, which ends a sentence block.
+    less one byte order mark, dropped by ``_unmarked``. A blank line yields an
+    empty string, which ends a sentence block.
     """
-    pieces = iter(pieces)
-    first = (piece.removeprefix("\ufeff") for piece in itertools.islice(pieces, 1))
-    lines = itertools.chain.from_iterable(map(str.splitlines, itertools.chain(first, pieces)))
+    lines = itertools.chain.from_iterable(map(str.splitlines, _unmarked(pieces)))
     return enumerate(map(str.strip, lines), start=1)
 
 
@@ -239,15 +246,15 @@ def _pair_blocks(first, second, mismatch):
         raise mismatch(n, n + rest)
 
 
-def _conll09_reader(pieces, path: str | None = None, heads=None):
+def _conll09_reader(pieces, path: str | None = None, tables=None):
     """The unparsed sentence blocks of a CoNLL-2009 text, given as ``_rows``
     takes it, and the function that parses one of them. Readers given the same
-    ``heads`` table, from (argument cell, token) to its record, parse a cell
-    that repeats at the same token once and share its record."""
+    ``tables`` share its ``heads`` table, from (argument cell, token) to its
+    record: a cell that repeats at the same token is parsed once."""
     # Parsed records are frozen, so each distinct sense cell, and argument cell
     # at its token, is parsed, checked and built once per reader (argument cells
-    # once per heads table) and the result is shared by every row that repeats it.
-    heads: dict[tuple[str, int], RawArgument] = {} if heads is None else heads
+    # once per shared heads table) and the result is shared by every row that repeats it.
+    heads: dict[tuple[str, int], RawArgument] = {} if tables is None else tables["heads"]
     senses: dict[str, SenseLabel] = {}
 
     def first_problem(block) -> ParseError:
@@ -356,11 +363,12 @@ def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, i
     return _sense_table(_pieces(text), path)
 
 
-def _sense_rows(pieces, path: str | None = None):
-    """((sentence, token), sense, line) for every row of a sense sidecar text,
-    given as ``_rows`` takes it, in file order; ParseError for a bad row."""
-    labels: dict[str, SenseLabel] = {}
-    for lineno, line in _rows(pieces):
+def _sense_rows(rows, held, path: str | None = None):
+    """((sentence, token), sense) for every row of a sense sidecar, given as
+    ``_rows`` gives its lines, in file order; ParseError at the first bad row,
+    or row whose key ``held`` or an earlier row holds."""
+    keys = set()
+    for lineno, line in rows:
         if not line or line[0] == "#":
             continue
         parts = line.split()
@@ -369,44 +377,110 @@ def _sense_rows(pieces, path: str | None = None):
                              line=lineno, path=path)
         try:
             key = int(parts[0]), int(parts[1])
-            sense = labels.get(parts[2])
-            if sense is None:
-                sense = labels[parts[2]] = SenseLabel.parse(parts[2])
+            sense = SenseLabel.parse(parts[2])
         except (ValueError, LabelError) as exc:
             raise ParseError(str(exc), line=lineno, path=path)
-        yield key, sense, lineno
-
-
-def _sense_table(pieces, path: str | None = None, in_order: bool = False):
-    """The senses of a sidecar text, given as ``_rows`` takes it, by (sentence,
-    token); ParseError at its first bad or repeated row in file order.
-
-    With ``in_order``, only the current sentence's rows are kept, as a repeated
-    key can then only be in the same sentence, and the first decrease of the
-    sentence numbers returns None, leaving the rows after it unchecked.
-    """
-    senses: dict[tuple[int, int], SenseLabel] = {}
-    sentence = None
-    for key, sense, lineno in _sense_rows(pieces, path):
-        if in_order and key[0] != sentence:
-            if sentence is not None and key[0] < sentence:
-                return None
-            sentence, senses = key[0], {}
-        if key in senses:
+        if key in held or key in keys:
             raise ParseError("sentence %d, token %d already has a sense row" % key,
                              line=lineno, path=path)
-        senses[key] = sense
+        keys.add(key)
+        yield key, sense
+
+
+# a piece of sidecar text whose every line is three tab-separated fields and
+# no comment, as sidecars are written: its fields need no split line by line
+_PLAIN_SENSE_LINES = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+\n)*")
+
+
+def _sense_piece(piece: str, labels: dict[str, SenseLabel]):
+    """The number of lines of a piece of sidecar text, the sentence numbers of
+    its rows, less blank and ``#`` lines, and their dict from (sentence, token)
+    to sense; None for the dict if a row is not 3 fields, a number or a sense
+    does not parse, or a key repeats. ``labels`` holds the senses parsed so
+    far by their text; each number text is converted once."""
+    if _PLAIN_SENSE_LINES.fullmatch(piece):
+        lines, fields = piece.count("\n"), piece.split()
+    else:
+        lines = piece.splitlines()
+        rows = [row for row in map(str.split, lines) if row and row[0][0] != "#"]
+        lines, fields = len(lines), list(itertools.chain.from_iterable(rows))
+        if set(map(len, rows)) - {3}:
+            return lines, None, None
+    sentences, tokens, texts = fields[0::3], fields[1::3], fields[2::3]
+    numbers = {*sentences, *tokens}
+    try:
+        ints = dict(zip(numbers, map(int, numbers)))
+        for text in set(texts).difference(labels):
+            labels[text] = SenseLabel.parse(text)
+    except (ValueError, LabelError):
+        return lines, None, None
+    sentences = list(map(ints.__getitem__, sentences))
+    senses = dict(zip(zip(sentences, map(ints.__getitem__, tokens)),
+                      map(labels.__getitem__, texts)))
+    return lines, sentences, senses if len(senses) == len(sentences) else None
+
+
+def _sense_pieces(pieces, path: str | None = None, table=None):
+    """A dict from (sentence, token) to sense for the rows of each decoded
+    piece of a sense sidecar text, given as ``_rows`` takes it, that has rows.
+
+    Given a ``table``, each piece is checked against it and added to it; a
+    piece that fails is walked by ``_sense_rows`` to raise a ParseError at its
+    first bad or repeated row. Without one, sentence numbers must not
+    decrease, so only the last sentence's keys are held, and the first piece
+    that fails a check gives None and ends the pieces.
+    """
+    labels: dict[str, SenseLabel] = {}
+    held = set() if table is None else table.keys()  # keys the next row may not repeat
+    last = float("-inf")  # the sentence of the last row
+    lineno = 0  # lines up to the end of the piece
+    for piece in _unmarked(pieces):
+        lines, sentences, senses = _sense_piece(piece, labels)
+        lineno += lines
+        if senses == {}:
+            continue
+        if senses is None or not held.isdisjoint(senses) or table is None and (
+                sentences[0] < last or sentences != sorted(sentences)):
+            if table is None:
+                yield None
+                return
+            numbered = enumerate(map(str.strip, piece.splitlines()), start=lineno - lines + 1)
+            collections.deque(_sense_rows(numbered, held, path), maxlen=0)
+            raise AssertionError("piece passes every row check")
+        if table is None:
+            if sentences[-1] != last:
+                held, last = set(), sentences[-1]
+            held.update(itertools.islice(senses, bisect.bisect_left(sentences, last), None))
+        else:
+            table.update(senses)
+        yield senses
+
+
+def _sense_table(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
+    """The senses of a sidecar text, given as ``_rows`` takes it, by (sentence,
+    token); ParseError at its first bad or repeated row in file order."""
+    senses: dict[tuple[int, int], SenseLabel] = {}
+    collections.deque(_sense_pieces(pieces, path, senses), maxlen=0)
     return senses
 
 
 def _sidecar(text, path: str):
     """The two sense inputs of ``_conll05_reader`` for the sidecar at ``path``,
     whose text ``text()`` gives from its start at each call, as ``_rows`` takes
-    it. The sidecar is checked first; when its sentence numbers never decrease,
-    the pass reads it again a sentence at a time, otherwise it is held whole."""
-    if _sense_table(text(), path, in_order=True) is None:
+    it. The sidecar is checked a piece at a time first; when its sentence
+    numbers never decrease, the pass reads its ``_sense_pieces`` again, one
+    piece at a time, and a ConfigError if a piece no longer passes the check.
+    Otherwise, or when a piece fails a check, it is read whole, which names
+    its first problem or holds it whole."""
+    if any(senses is None for senses in _sense_pieces(text(), path)):
         return _sense_table(text(), path), ()
-    return {}, _sense_rows(text(), path)
+
+    def checked():
+        for senses in _sense_pieces(text(), path):
+            if senses is None:  # the file was rewritten since the check
+                raise ConfigError("cannot read %s: it changed after it was checked" % path)
+            yield senses
+    return {}, checked()
 
 
 def _sentence_forms(pieces):
@@ -417,31 +491,39 @@ def _sentence_forms(pieces):
 
 
 def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLabel],
-                    path: str | None = None, rows=(), known=None):
+                    path: str | None = None, rows=(), tables=None):
     """The unparsed (sentence number, forms, props block) triples of a words
     file's ``_sentence_forms`` and a CoNLL-2005 props text, given as ``_rows``
     takes it, and the function that parses one; the sentence it returns holds
     that very forms tuple.
 
-    Each predicate pops its row from ``senses``. ``rows``, ``_sense_rows`` of a
-    sidecar in sentence order, are added to ``senses`` a sentence at a time,
-    as its triple is drawn. Unequal sentence counts are a ParseError, raised as
-    the shorter side ends; so is a sense row that names no predicate, the first
-    in file order, raised once the pairs end.
+    Each predicate pops its row from ``senses``. ``rows``, the ``_sense_pieces``
+    of a sidecar in sentence order, are added to ``senses`` a piece at a time,
+    as the triple of the piece's first sentence is drawn. Unequal sentence
+    counts are a ParseError, raised as the shorter side ends; so is a sense row
+    that names no predicate, the first in file order, raised once the triples
+    have run out and every drawn one is parsed.
 
-    ``known`` maps one sentence number, the last parsed, to a dict from each of
-    its props columns parsed so far to that column's (anchor, arguments).
-    Readers given the same table parse a column that repeats one of the same
-    sentence once, and share its arguments tuple.
+    Readers given the same ``tables`` share its props tables: ``labels``,
+    ``cells`` and ``spans``, so a span part is parsed once into one record, and
+    ``known``, which maps one sentence number, the last parsed, to a dict from
+    each of its props columns parsed so far to that column's (anchor,
+    arguments), so a column that repeats one of the same sentence is parsed
+    once and shares its arguments tuple.
     """
-    # per reader, as in _conll09_reader: props cell -> its (opened, closed)
-    # groups, and (opened label text, first row, last row) -> one span part
-    labels: dict[str, RoleLabel] = {}
-    cells: dict[str, tuple[str | None, str | None]] = {}
-    spans: dict[tuple[str, int, int], RawArgument] = {}
-    known = {} if known is None else known
+    # as in _conll09_reader: label text -> its label, props cell -> its
+    # (opened, closed) groups, and (opened label text, first row, last row) ->
+    # one span part
+    tables = collections.defaultdict(dict) if tables is None else tables
+    labels: dict[str, RoleLabel] = tables["labels"]
+    cells: dict[str, tuple[str | None, str | None]] = tables["cells"]
+    spans: dict[tuple[str, int, int], RawArgument] = tables["spans"]
+    known = tables["known"]
+    parsed_blocks, drawn = 0, None  # drawn: the triples drawn, once they have run out
+    waiting = None  # the next sidecar piece, not yet in senses
 
     def parse(triple: tuple[int, tuple[str, ...], tuple]) -> Sentence:
+        nonlocal parsed_blocks
         sent_no, forms, (numbers, lines) = triple
         rows = list(map(str.split, lines))
         if len(rows) != len(forms):
@@ -475,6 +557,9 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
             predicates.append(PredicateInstance._parsed(anchor, sense, arguments))
 
         predicates.sort(key=lambda p: p.anchor)
+        parsed_blocks += 1
+        if parsed_blocks == drawn:
+            claimed()
         return Sentence._of_forms(forms, predicates)
 
     def walk(j: int, column: tuple[str, ...], numbers) -> tuple[int, tuple[RawArgument, ...]]:
@@ -531,19 +616,27 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
         return ParseError("words file has %s, props file has %d"
                           % (_sentences(n_words), n_props), path=path)
 
-    def pairs():
-        ahead = iter(rows)
-        row = next(ahead, None)
-        for triple in _pair_blocks(sentence_forms, _blocks(props), mismatch):
-            while row is not None and row[0][0] <= triple[0]:
-                senses[row[0]] = row[1]
-                row = next(ahead, None)
-            yield triple
+    def claimed() -> None:
+        """ParseError for the first sense row in file order that names no predicate."""
         # rows left in senses came before those not yet taken
-        unclaimed = next(iter(senses), None) or row and row[0]
+        unclaimed = next(iter(senses), None) or waiting and next(iter(waiting))
         if unclaimed:
             raise ParseError("sense row for sentence %d, token %d names no predicate"
                              % unclaimed, path=path)
+
+    def pairs():
+        nonlocal waiting, drawn
+        pieces = iter(rows)
+        waiting = next(pieces, None)
+        n = 0
+        for n, forms, block in _pair_blocks(sentence_forms, _blocks(props), mismatch):
+            while waiting is not None and next(iter(waiting))[0] <= n:
+                senses.update(waiting)
+                waiting = next(pieces, None)
+            yield n, forms, block
+        drawn = n
+        if parsed_blocks == drawn:
+            claimed()
     return pairs(), parse
 
 
@@ -589,15 +682,15 @@ def _forms(format: str, words: str | None, files: contextlib.ExitStack, **sideca
 
 
 def _reader(path: str, format: str, forms, senses: str | None, files: contextlib.ExitStack,
-            known=None):
+            tables=None):
     """The unparsed sentence blocks of the corpus file at ``path`` and the
     function that parses each of them in turn, as ``_conll09_reader`` or
-    ``_conll05_reader`` gives them for ``_forms``' forms and ``known``, the
-    ``heads`` table of the one or the ``known`` table of the other."""
+    ``_conll05_reader`` gives them for ``_forms``' forms and the shared parse
+    ``tables``."""
     if format == "conll09":
-        return _conll09_reader(_opened(path, files)(), path, known)
+        return _conll09_reader(_opened(path, files)(), path, tables)
     sidecar, rows = _sidecar(_opened(senses, files), senses) if senses is not None else ({}, ())
-    return _conll05_reader(forms, _opened(path, files)(), sidecar, path, rows, known)
+    return _conll05_reader(forms, _opened(path, files)(), sidecar, path, rows, tables)
 
 
 def read(path: str, format: str, words: str | None = None, senses: str | None = None):
@@ -621,22 +714,23 @@ def read_pairs(gold: str, system: str, format: str, words: str | None = None,
     the gold and system files, each read as ``read`` reads it, for ``score_pairs``.
 
     A gold file without sentences is a ConfigError before the system files
-    are opened. Each pair is parsed, gold first, once it is drawn. In conll05
-    both sides share one forms tuple per words sentence, and a system props
-    column equal to a gold one of its sentence is parsed once. In conll09 both
-    sides share one table of argument records, so a system argument cell
-    equal to a gold one at the same token is parsed once, into the same record.
+    are opened. Each pair is parsed, gold first, once it is drawn. Both sides
+    share one set of parse tables. In conll05 they share one forms tuple per
+    words sentence, a system props column equal to a gold one of its sentence
+    is parsed once, and so is a system span part equal to a gold one, into the
+    same record. In conll09 a system argument cell equal to a gold one at the
+    same token is parsed once, into the same record.
     """
     with contextlib.ExitStack() as files:
         forms = _forms(format, words, files, senses=senses, senses_system=senses_system)
         gold_forms, system_forms = itertools.tee(forms or ())
-        known: dict = {}
-        gold_blocks, parse_gold = _reader(gold, format, gold_forms, senses, files, known)
+        tables = collections.defaultdict(dict)  # parse tables by name
+        gold_blocks, parse_gold = _reader(gold, format, gold_forms, senses, files, tables)
         first = next(gold_blocks, None)
         if first is None:
             raise ConfigError("%s: no sentences" % gold)
         system_blocks, parse_system = _reader(system, format, system_forms, senses_system,
-                                              files, known)
+                                              files, tables)
         for n, g, s in _pair_blocks(itertools.chain([first], gold_blocks), system_blocks,
                                     _count_mismatch):
             yield n, parse_gold(g), parse_system(s)

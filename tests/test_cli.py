@@ -364,10 +364,10 @@ class TestSenseSidecar:
         for name, text in (("words", words), ("gold.props", gold_props),
                            ("sys.props", serialize_conll05(system)[1])):
             (tmp_path / name).write_text(text)
-        held = []
+        held = []  # the paths of the sidecars loaded whole
         table = conll._sense_table
-        monkeypatch.setattr(conll, "_sense_table", lambda pieces, path, in_order=False:
-                            held.append(in_order) or table(pieces, path, in_order))
+        monkeypatch.setattr(conll, "_sense_table", lambda pieces, path:
+                            held.append(path) or table(pieces, path))
         files = ["--format", "conll05", "--words", str(tmp_path / "words"),
                  "--senses", str(tmp_path / "gold.senses"),
                  "--senses-system", str(tmp_path / "sys.senses"),
@@ -382,7 +382,7 @@ class TestSenseSidecar:
             assert run(["compare"] + files) == 0
             outputs.append((capsys.readouterr(), report.read_bytes()))
             # a shuffled sidecar is held whole: both sides, in both runs
-            assert held.count(False) == (4 if order == "shuffled" else 0)
+            assert len(held) == (4 if order == "shuffled" else 0)
         assert outputs[0] == outputs[1] == outputs[2]
         assert outputs[0][0].err == ""
 
@@ -471,6 +471,19 @@ class TestSenseSidecar:
         rows = self.LEAD.replace("2\t7\tlead.01", "2\t7") + "# c\n3\t1\ta\udcff.01\n"
         assert lead(rows) == (cli.EXIT_PARSE,
                               "parse error: SENSES:line 4: byte 0xff is not valid UTF-8\n")
+
+    def test_sidecar_rewritten_after_the_check(self, lead, monkeypatch):
+        # the pass reads the sidecar again; rows that no longer pass the opening
+        # check, here sentence numbers that decrease, end the run
+        sidecar = conll._sidecar
+
+        def rewriting(text, path):
+            checked = sidecar(text, path)
+            Path(path).write_text("2\t7\tlead.01\n1\t7\tlead.01\n")
+            return checked
+        monkeypatch.setattr(conll, "_sidecar", rewriting)
+        assert lead(self.LEAD) == (
+            cli.EXIT_CONFIG, "error: cannot read SENSES: it changed after it was checked\n")
 
     def test_gold_sidecar_error_wins_over_the_system_one(self, tmp_path, capsys):
         gold, system = tmp_path / "gold.senses", tmp_path / "sys.senses"

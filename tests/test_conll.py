@@ -498,17 +498,20 @@ class TestParseSpan:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(rows=SIDECAR_ROWS)
     def test_sidecar_scan_fails_as_the_whole_sidecar_does(self, rows):
-        # up to the first decrease of its sentence numbers; after it, the CLI
-        # loads the sidecar whole
+        # the opening check reads the sidecar a piece at a time up to the first
+        # decrease of its sentence numbers; after it, the sidecar is loaded whole
         text = "".join("%d\t%d\t%s\n" % row if row[2][:1] != "#" else row[2] + "\n"
                        for row in rows)
         whole = self.outcome(lambda: parse_sense_sidecar(text, path="s"))
-        scan = self.outcome(lambda: conll._sense_table([text], "s", in_order=True) is not None)
+        scan = self.outcome(lambda: conll._sidecar(lambda: [text], "s"))
         sentences = [n for n, _, sense in rows if "." in sense]
-        if scan is False:
-            assert sentences != sorted(sentences)
+        if isinstance(scan, tuple) and scan[1] == ():  # held whole
+            assert scan[0] == whole and sentences != sorted(sentences)
+        elif isinstance(scan, tuple):  # read a piece at a time during the pass
+            assert scan[0] == {} and sentences == sorted(sentences)
+            assert dict(itertools.chain.from_iterable(map(dict.items, scan[1]))) == whole
         else:
-            assert scan == (True if isinstance(whole, dict) else whole)
+            assert scan == whole
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(rows=SIDECAR_ROWS, data=st.data())
@@ -532,7 +535,106 @@ class TestParseSpan:
             return parsed
 
         whole = self.outcome(lambda: parse(parse_sense_sidecar(text), ()))
-        assert self.outcome(lambda: parse({}, conll._sense_rows([text]))) == whole
+        assert self.outcome(lambda: parse({}, conll._sense_pieces([text]))) == whole
+
+    # three sentences of WORDS, each with its predicate at token 3
+    THREE = ("\n".join([WORDS] * 3),
+             "\n".join(["-\t(A0*)\n-\t*\nbe\t(V*)\n-\t(A1*\n-\t*)\n"] * 3))
+
+    @pytest.mark.parametrize("text, unclaimed", [
+        ("1\t3\tbe.01\n2\t3\tbe.02\n3\t3\tbe.03\n", None),
+        ("1\t3\tbe.01\n3\t3\tbe.03\n", None),
+        ("1\t3\tbe.01\n2\t2\tbe.02\n3\t3\tbe.03\n", (2, 2)),  # token 2 is no predicate
+        ("1\t3\tbe.01\n3\t3\tbe.03\n4\t3\tbe.04\n", (4, 3)),  # past the last sentence
+        ("3\t3\tbe.03\n1\t3\tbe.01\n0\t1\tbe.00\n", (0, 1)),  # held whole
+    ], ids=["all", "some", "token-off", "past-the-end", "unsorted"])
+    def test_blocks_drawn_before_any_is_parsed(self, text, unclaimed):
+        # the same sentences, or the same error for a row that names no
+        # predicate, whether each block is parsed as it is drawn or all are
+        # drawn first: the check waits for the last drawn block to be parsed
+        def read(draw_first: bool):
+            senses, rows = conll._sidecar(lambda: [text], "s.senses")
+            blocks, parse = conll._conll05_reader(conll._sentence_forms([self.THREE[0]]),
+                                                  [self.THREE[1]], senses, "s.props", rows)
+            if draw_first:
+                blocks = list(blocks)
+            return [parse(block) for block in blocks]
+
+        expected = self.outcome(lambda: parse_conll05(*self.THREE, parse_sense_sidecar(text),
+                                                      path="s.props").sentences)
+        if unclaimed is not None:
+            assert expected == ("s.props: sense row for sentence %d, token %d names no "
+                                "predicate" % unclaimed)
+        assert self.outcome(lambda: read(False)) == expected
+        assert self.outcome(lambda: read(True)) == expected
+
+
+class TestSensePieces:
+    """The sidecar reader checks and converts each piece of rows at once. At
+    any piece size, ``parse_sense_sidecar`` and the pass over a sidecar in
+    sentence order give what the row walker ``_sense_rows``, kept to name
+    problems, gives: the same table, in file order, or the same ParseError."""
+
+    # sentence and token numbers spelt as usual, with a leading 0 or with a +
+    NUMBER = st.tuples(st.integers(0, 3), st.sampled_from(["%d", "0%d", "+%d"]))
+    ROW = st.tuples(NUMBER, NUMBER, st.sampled_from(["be.01", "go.02", "a.b.03", "be"]),
+                    st.sampled_from(["\t", " ", "\t \x1c"]))
+    # lines that are no row, or a bad one
+    OTHER = st.sampled_from(["", "  ", "# c", "#1\t1\tbe.01", "1\t1", "1\t1\tbe.01\tx",
+                             "x\t1\tbe.01"])
+    ENDS = st.sampled_from(["\n", "\r\n", "\x0b", "\x1c", "\u2028"])
+
+    @staticmethod
+    def outcome(call):
+        try:
+            return call()
+        except ParseError as exc:
+            return str(exc), exc.line
+
+    @st.composite
+    def sidecars(draw, ROW=ROW, OTHER=OTHER, ENDS=ENDS):
+        """A sidecar text: rows, in sentence order or not, with other lines among them."""
+        rows = draw(st.lists(ROW, max_size=12))
+        if draw(st.booleans()):
+            rows.sort(key=lambda row: row[0][0])
+        lines = ["%s%s%s%s%s" % (n[1] % n[0], sep, t[1] % t[0], sep, sense)
+                 for n, t, sense, sep in rows]
+        for _ in range(draw(st.integers(0, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(OTHER))
+        ends = draw(st.lists(ENDS, min_size=len(lines), max_size=len(lines)))
+        mark = draw(st.sampled_from(["", "\ufeff"]))
+        return mark + "".join(line + end for line, end in zip(lines, ends))
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(text=sidecars(), chunk=st.integers(1, 40))
+    def test_pieces_read_as_the_row_walker_reads(self, text, chunk):
+        expected = self.outcome(lambda: dict(conll._sense_rows(conll._rows([text]), (), "s")))
+        with mock.patch.object(conll, "_CHUNK", chunk):
+            assert self.outcome(lambda: parse_sense_sidecar(text, "s")) == expected
+            got = self.outcome(lambda: conll._sidecar(lambda: conll._pieces(text), "s"))
+        if not isinstance(expected, dict):
+            assert got == expected
+            return
+        senses, rows = got
+        sentences = [n for n, _ in expected]
+        if rows == ():  # sentence numbers decrease, so the sidecar is held whole
+            assert sentences != sorted(sentences)
+            assert list(senses.items()) == list(expected.items())
+        else:
+            assert sentences == sorted(sentences) and senses == {}
+            pieces = list(rows)
+            assert all(pieces)
+            assert list(itertools.chain.from_iterable(map(dict.items, pieces))) == list(
+                expected.items())
+
+    @pytest.mark.parametrize("chunk", range(1, 24))
+    def test_repeated_key_across_a_piece_boundary(self, chunk):
+        text = "1\t1\tbe.01\n1\t2\tbe.01\n2\t1\tbe.01\n2\t02\tgo.02\n# c\n+2\t1\tbe.02\n"
+        with mock.patch.object(conll, "_CHUNK", chunk):
+            for read in (lambda: parse_sense_sidecar(text, "s"),
+                         lambda: conll._sidecar(lambda: conll._pieces(text), "s")):
+                assert self.outcome(read) == ("s:line 6: sentence 2, token 1 already has a "
+                                              "sense row", 6)
 
 
 class TestParsedPredicates:

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA
 from corpusgen import perturb_corpus, random_corpus
 from primesrl import cli, conll, serialize_conll05, serialize_conll09
+from pin_outputs import _sidecar as pred_sidecar
 from test_conll import sidecar
 
 TEXTS = [
@@ -244,6 +245,50 @@ def test_a_bad_system_label_where_the_gold_one_parsed_names_the_system(tmp_path)
     with pytest.raises(conll.ParseError) as err:
         list(conll.read_pairs(gold, system, "conll09"))
     assert str(err.value) == "%s:line 3: nested continuation prefix in 'C-C-A1'" % system
+
+def _conll05(tmp: Path, name: str, *cells: str) -> str:
+    """A one-sentence props file of four tokens whose one predicate column,
+    anchored at token 2, holds ``cells``."""
+    return _written(tmp, name, "".join("-\t%s\n" % cell for cell in cells).encode() + b"\n")
+
+
+def test_read_pairs_shares_an_equal_conll05_span_part(tmp_path):
+    words = _written(tmp_path, "words", b"w1\nw2\nw3\nw4\n\n")
+    gold = _conll05(tmp_path, "gold.props", "(A0*)", "(V*)", "(A1*", "*)")
+    system = _conll05(tmp_path, "system.props", "(A0*)", "(V*)", "(AM-TMP*", "*)")
+    [(_, g, s)] = conll.read_pairs(gold, system, "conll05", words)
+    (g0, gv, g1), (s0, sv, s1) = g.predicates[0].arguments, s.predicates[0].arguments
+    assert s0 is g0 and sv is gv
+    assert s1 != g1 and s1.extent == g1.extent
+    # a second call parses again: no record is shared between calls
+    [(_, g2, s2)] = conll.read_pairs(gold, system, "conll05", words)
+    assert g2 == g and s2 == s
+    assert not {id(arg) for arg in g.predicates[0].arguments + s.predicates[0].arguments} & {
+        id(arg) for arg in g2.predicates[0].arguments + s2.predicates[0].arguments}
+
+
+@pytest.mark.parametrize("gold, system", [("lead_gold", "lead_p1"), ("lead_gold", "lead_p4"),
+                                          ("tax_gold", "tax_p7")])
+def test_read_gives_each_side_of_read_pairs_in_conll05(gold, system, tmp_path):
+    words = str(DATA / (gold.split("_")[0] + ".words"))
+    senses = [_written(tmp_path, name + ".senses",
+                       pred_sidecar((DATA / (name + ".conll")).read_text()).encode())
+              for name in (gold, system)]
+    gold, system = str(DATA / (gold + ".props")), str(DATA / (system + ".props"))
+    pairs = list(conll.read_pairs(gold, system, "conll05", words, *senses))
+    assert [g for _, g, _ in pairs] == list(conll.read(gold, "conll05", words, senses[0]))
+    assert [s for _, _, s in pairs] == list(conll.read(system, "conll05", words, senses[1]))
+    assert any(p.sense is not None for _, g, _ in pairs for p in g.predicates)
+
+
+def test_a_bad_system_span_label_where_the_gold_one_parsed_names_the_system(tmp_path):
+    words = _written(tmp_path, "words", b"w1\nw2\nw3\nw4\n\n")
+    gold = _conll05(tmp_path, "gold.props", "(A0*)", "(V*)", "(A1*", "*)")
+    system = _conll05(tmp_path, "system.props", "(A0*)", "(V*)", "(C-C-A1*", "*)")
+    with pytest.raises(conll.ParseError) as err:
+        list(conll.read_pairs(gold, system, "conll05", words))
+    assert str(err.value) == "%s:line 3: nested continuation prefix in 'C-C-A1'" % system
+
 
 def _corpus(tmp: Path, n_sentences: int) -> list[str]:
     """``evaluate`` arguments for a generated head corpus of ``n_sentences``."""
