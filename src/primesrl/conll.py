@@ -360,13 +360,13 @@ _PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
-    return _sense_table(_pieces(text), path)
+    return _sense_table(lambda: _pieces(text), path)
 
 
-def _sense_rows(rows, held, path: str | None = None):
+def _sense_rows(rows, path: str | None = None):
     """((sentence, token), sense) for every row of a sense sidecar, given as
     ``_rows`` gives its lines, in file order; ParseError at the first bad row,
-    or row whose key ``held`` or an earlier row holds."""
+    or row whose key an earlier row holds."""
     keys = set()
     for lineno, line in rows:
         if not line or line[0] == "#":
@@ -380,7 +380,7 @@ def _sense_rows(rows, held, path: str | None = None):
             sense = SenseLabel.parse(parts[2])
         except (ValueError, LabelError) as exc:
             raise ParseError(str(exc), line=lineno, path=path)
-        if key in held or key in keys:
+        if key in keys:
             raise ParseError("sentence %d, token %d already has a sense row" % key,
                              line=lineno, path=path)
         keys.add(key)
@@ -393,19 +393,18 @@ _PLAIN_SENSE_LINES = re.compile(r"(?:[^\s#]\S*\t\S+\t\S+\n)*")
 
 
 def _sense_piece(piece: str, labels: dict[str, SenseLabel]):
-    """The number of lines of a piece of sidecar text, the sentence numbers of
-    its rows, less blank and ``#`` lines, and their dict from (sentence, token)
-    to sense; None for the dict if a row is not 3 fields, a number or a sense
-    does not parse, or a key repeats. ``labels`` holds the senses parsed so
-    far by their text; each number text is converted once."""
+    """The sentence numbers of the rows of a piece of sidecar text, less blank
+    and ``#`` lines, and their dict from (sentence, token) to sense; None for
+    the dict if a row is not 3 fields, a number or a sense does not parse, or a
+    key repeats. ``labels`` holds the senses parsed so far by their text; each
+    number text is converted once."""
     if _PLAIN_SENSE_LINES.fullmatch(piece):
-        lines, fields = piece.count("\n"), piece.split()
+        fields = piece.split()
     else:
-        lines = piece.splitlines()
-        rows = [row for row in map(str.split, lines) if row and row[0][0] != "#"]
-        lines, fields = len(lines), list(itertools.chain.from_iterable(rows))
+        rows = [row for row in map(str.split, piece.splitlines()) if row and row[0][0] != "#"]
+        fields = list(itertools.chain.from_iterable(rows))
         if set(map(len, rows)) - {3}:
-            return lines, None, None
+            return None, None
     sentences, tokens, texts = fields[0::3], fields[1::3], fields[2::3]
     numbers = {*sentences, *tokens}
     try:
@@ -413,70 +412,67 @@ def _sense_piece(piece: str, labels: dict[str, SenseLabel]):
         for text in set(texts).difference(labels):
             labels[text] = SenseLabel.parse(text)
     except (ValueError, LabelError):
-        return lines, None, None
+        return None, None
     sentences = list(map(ints.__getitem__, sentences))
     senses = dict(zip(zip(sentences, map(ints.__getitem__, tokens)),
                       map(labels.__getitem__, texts)))
-    return lines, sentences, senses if len(senses) == len(sentences) else None
+    return sentences, senses if len(senses) == len(sentences) else None
 
 
-def _sense_pieces(pieces, path: str | None = None, table=None):
+def _sense_pieces(pieces):
     """A dict from (sentence, token) to sense for the rows of each decoded
     piece of a sense sidecar text, given as ``_rows`` takes it, that has rows.
-
-    Given a ``table``, each piece is checked against it and added to it; a
-    piece that fails is walked by ``_sense_rows`` to raise a ParseError at its
-    first bad or repeated row. Without one, sentence numbers must not
-    decrease, so only the last sentence's keys are held, and the first piece
-    that fails a check gives None and ends the pieces.
-    """
+    Sentence numbers must not decrease and no key may repeat, so only the last
+    sentence's keys are held; the first piece that fails a check gives None
+    and ends the pieces."""
     labels: dict[str, SenseLabel] = {}
-    held = set() if table is None else table.keys()  # keys the next row may not repeat
-    last = float("-inf")  # the sentence of the last row
-    lineno = 0  # lines up to the end of the piece
+    held, last = set(), float("-inf")  # the last row's sentence and its keys so far
     for piece in _unmarked(pieces):
-        lines, sentences, senses = _sense_piece(piece, labels)
-        lineno += lines
+        sentences, senses = _sense_piece(piece, labels)
         if senses == {}:
             continue
-        if senses is None or not held.isdisjoint(senses) or table is None and (
-                sentences[0] < last or sentences != sorted(sentences)):
-            if table is None:
-                yield None
-                return
-            numbered = enumerate(map(str.strip, piece.splitlines()), start=lineno - lines + 1)
-            collections.deque(_sense_rows(numbered, held, path), maxlen=0)
-            raise AssertionError("piece passes every row check")
-        if table is None:
-            if sentences[-1] != last:
-                held, last = set(), sentences[-1]
-            held.update(itertools.islice(senses, bisect.bisect_left(sentences, last), None))
-        else:
-            table.update(senses)
+        if (senses is None or not held.isdisjoint(senses) or sentences[0] < last
+                or sentences != sorted(sentences)):
+            yield None
+            return
+        if sentences[-1] != last:
+            held, last = set(), sentences[-1]
+        held.update(itertools.islice(senses, bisect.bisect_left(sentences, last), None))
         yield senses
 
 
-def _sense_table(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
-    """The senses of a sidecar text, given as ``_rows`` takes it, by (sentence,
-    token); ParseError at its first bad or repeated row in file order."""
-    senses: dict[tuple[int, int], SenseLabel] = {}
-    collections.deque(_sense_pieces(pieces, path, senses), maxlen=0)
-    return senses
+def _sense_table(text, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
+    """The senses of the sidecar at ``path``, whose text ``text()`` gives from
+    its start at each call, as ``_rows`` takes it, by (sentence, token) in file
+    order. The dicts of its pieces are merged, a key repeated across them
+    leaving the table smaller than the rows read; on any failure ``_sense_rows``
+    reads the text again to raise a ParseError at its first bad or repeated row."""
+    labels: dict[str, SenseLabel] = {}
+    table: dict[tuple[int, int], SenseLabel] = {}
+    read = 0  # rows read
+    for senses in (_sense_piece(piece, labels)[1] for piece in _unmarked(text())):
+        if senses is None:
+            break
+        read += len(senses)
+        table.update(senses)
+    else:
+        if len(table) == read:
+            return table
+    return dict(_sense_rows(_rows(text()), path))
 
 
 def _sidecar(text, path: str):
     """The two sense inputs of ``_conll05_reader`` for the sidecar at ``path``,
     whose text ``text()`` gives from its start at each call, as ``_rows`` takes
-    it. The sidecar is checked a piece at a time first; when its sentence
-    numbers never decrease, the pass reads its ``_sense_pieces`` again, one
-    piece at a time, and a ConfigError if a piece no longer passes the check.
-    Otherwise, or when a piece fails a check, it is read whole, which names
-    its first problem or holds it whole."""
-    if any(senses is None for senses in _sense_pieces(text(), path)):
-        return _sense_table(text(), path), ()
+    it. Its ``_sense_pieces`` are checked first; when its sentence numbers never
+    decrease and no key repeats, the pass reads them again, a piece at a time,
+    and a ConfigError if a piece no longer passes the check. Otherwise it is
+    loaded whole by ``_sense_table``, which names its first problem."""
+    if any(senses is None for senses in _sense_pieces(text())):
+        return _sense_table(text, path), ()
 
     def checked():
-        for senses in _sense_pieces(text(), path):
+        for senses in _sense_pieces(text()):
             if senses is None:  # the file was rewritten since the check
                 raise ConfigError("cannot read %s: it changed after it was checked" % path)
             yield senses
@@ -495,14 +491,14 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
     """The unparsed (sentence number, forms, props block) triples of a words
     file's ``_sentence_forms`` and a CoNLL-2005 props text, given as ``_rows``
     takes it, and the function that parses one; the sentence it returns holds
-    that very forms tuple.
+    that very forms tuple. A caller parses each triple before it draws the next.
 
     Each predicate pops its row from ``senses``. ``rows``, the ``_sense_pieces``
     of a sidecar in sentence order, are added to ``senses`` a piece at a time,
     as the triple of the piece's first sentence is drawn. Unequal sentence
     counts are a ParseError, raised as the shorter side ends; so is a sense row
     that names no predicate, the first in file order, raised once the triples
-    have run out and every drawn one is parsed.
+    have run out, when a triple not yet parsed has not claimed its rows.
 
     Readers given the same ``tables`` share its props tables: ``labels``,
     ``cells`` and ``spans``, so a span part is parsed once into one record, and
@@ -519,11 +515,8 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
     cells: dict[str, tuple[str | None, str | None]] = tables["cells"]
     spans: dict[tuple[str, int, int], RawArgument] = tables["spans"]
     known = tables["known"]
-    parsed_blocks, drawn = 0, None  # drawn: the triples drawn, once they have run out
-    waiting = None  # the next sidecar piece, not yet in senses
 
     def parse(triple: tuple[int, tuple[str, ...], tuple]) -> Sentence:
-        nonlocal parsed_blocks
         sent_no, forms, (numbers, lines) = triple
         rows = list(map(str.split, lines))
         if len(rows) != len(forms):
@@ -557,9 +550,6 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
             predicates.append(PredicateInstance._parsed(anchor, sense, arguments))
 
         predicates.sort(key=lambda p: p.anchor)
-        parsed_blocks += 1
-        if parsed_blocks == drawn:
-            claimed()
         return Sentence._of_forms(forms, predicates)
 
     def walk(j: int, column: tuple[str, ...], numbers) -> tuple[int, tuple[RawArgument, ...]]:
@@ -616,27 +606,19 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
         return ParseError("words file has %s, props file has %d"
                           % (_sentences(n_words), n_props), path=path)
 
-    def claimed() -> None:
-        """ParseError for the first sense row in file order that names no predicate."""
-        # rows left in senses came before those not yet taken
-        unclaimed = next(iter(senses), None) or waiting and next(iter(waiting))
-        if unclaimed:
-            raise ParseError("sense row for sentence %d, token %d names no predicate"
-                             % unclaimed, path=path)
-
     def pairs():
-        nonlocal waiting, drawn
         pieces = iter(rows)
-        waiting = next(pieces, None)
-        n = 0
+        waiting = next(pieces, None)  # the next sidecar piece, not yet in senses
         for n, forms, block in _pair_blocks(sentence_forms, _blocks(props), mismatch):
             while waiting is not None and next(iter(waiting))[0] <= n:
                 senses.update(waiting)
                 waiting = next(pieces, None)
             yield n, forms, block
-        drawn = n
-        if parsed_blocks == drawn:
-            claimed()
+        # rows left in senses came before those not yet taken
+        unclaimed = next(iter(senses), None) or waiting and next(iter(waiting))
+        if unclaimed:
+            raise ParseError("sense row for sentence %d, token %d names no predicate"
+                             % unclaimed, path=path)
     return pairs(), parse
 
 

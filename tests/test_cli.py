@@ -366,8 +366,8 @@ class TestSenseSidecar:
             (tmp_path / name).write_text(text)
         held = []  # the paths of the sidecars loaded whole
         table = conll._sense_table
-        monkeypatch.setattr(conll, "_sense_table", lambda pieces, path:
-                            held.append(path) or table(pieces, path))
+        monkeypatch.setattr(conll, "_sense_table", lambda text, path:
+                            held.append(path) or table(text, path))
         files = ["--format", "conll05", "--words", str(tmp_path / "words"),
                  "--senses", str(tmp_path / "gold.senses"),
                  "--senses-system", str(tmp_path / "sys.senses"),
@@ -429,11 +429,41 @@ class TestSenseSidecar:
         ("1\t7\tlead.01\n2\tx\tlead.01\n",
          "parse error: SENSES:line 2: invalid literal for int() with base 10: 'x'\n"),
         ("1\t7\tlead\n", "parse error: SENSES:line 1: sense label 'lead' has no '.' separator\n"),
+        ("1\t1\tbe.\u00b2\n",
+         "parse error: SENSES:line 1: sense number must be a digit string, got '\u00b2'\n"),
     ], ids=["adjacent", "apart", "apart-unsorted", "apart-unsorted-blank", "bad-after",
             "bad-after-unsorted", "bad-before", "bad-after-decrease", "not-a-number",
-            "bad-label"])
+            "bad-label", "not-an-ascii-digit"])
     def test_bad_sidecar_rows(self, lead, rows, expected):
         assert lead(rows) == (cli.EXIT_PARSE, expected)
+
+    # sentence numbers decrease, so the sidecar is loaded whole; read in pieces
+    # of 30 characters, line 11 repeats line 2's key four pieces after it
+    UNSORTED = "2\t7\tlead.01\n1\t7\tlead.01\n" + "".join("3\t%d\ta.01\n" % t for t in range(1, 9))
+
+    def test_unsorted_sidecar_repeats_a_key_pieces_apart(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(conll, "_CHUNK", 30)
+        text = self.UNSORTED + "1\t7\tlead.02\n"
+        at = [i for i, piece in enumerate(conll._pieces(text))
+              for line in piece.splitlines() if line.startswith("1\t7\t")]
+        assert len(at) == 2 and at[1] - at[0] >= 3
+        repeated = "line 11: sentence 1, token 7 already has a sense row"
+        for read in (lambda: parse_sense_sidecar(text, "s"),
+                     lambda: conll._sidecar(lambda: conll._pieces(text), "s")):
+            with pytest.raises(conll.ParseError) as err:
+                read()
+            assert (str(err.value), err.value.line) == ("s:" + repeated, 11)
+        sidecar = tmp_path / "gold.senses"
+        sidecar.write_text(text)
+        code = run(["compare", "--format", "conll05", "--words", path("lead.words"),
+                    "--senses", str(sidecar), path("lead_gold.props"), path("lead_gold.props")])
+        assert code == cli.EXIT_PARSE
+        assert capsys.readouterr() == ("", "parse error: %s:%s\n" % (sidecar, repeated))
+        # without the repeat: the row walker's table, in file order
+        expected = list(dict(conll._sense_rows(conll._rows([self.UNSORTED]), "s")).items())
+        assert list(parse_sense_sidecar(self.UNSORTED, "s").items()) == expected
+        senses, rows = conll._sidecar(lambda: conll._pieces(self.UNSORTED), "s")
+        assert list(senses.items()) == expected and rows == ()
 
     NO_PREDICATE = "parse error: PROPS: sense row for sentence %d, token %d names no predicate\n"
 

@@ -218,6 +218,13 @@ class TestParseHead:
             corpus = parse_conll09(text)
         assert corpus.sentences[0].predicates[0].sense is None
 
+    def test_sense_number_that_is_no_ascii_digit_is_a_warning(self):
+        text = "\n".join([row(1, "He", apreds=["A0"]),
+                          row(2, "is", "Y", "be.\u00b2", ["_"])]) + "\n"
+        with pytest.warns(MalformedSenseWarning, match="c.conll:line 2: "):
+            corpus = parse_conll09(text, path="c.conll")
+        assert corpus.sentences[0].predicates[0].sense is None
+
     def test_error_message_carries_path(self):
         with pytest.raises(ColumnCountMismatch) as err:
             parse_conll09("1\tword\n", path="sys.conll")
@@ -548,16 +555,14 @@ class TestParseSpan:
         ("1\t3\tbe.01\n3\t3\tbe.03\n4\t3\tbe.04\n", (4, 3)),  # past the last sentence
         ("3\t3\tbe.03\n1\t3\tbe.01\n0\t1\tbe.00\n", (0, 1)),  # held whole
     ], ids=["all", "some", "token-off", "past-the-end", "unsorted"])
-    def test_blocks_drawn_before_any_is_parsed(self, text, unclaimed):
+    def test_each_block_parsed_as_it_is_drawn(self, text, unclaimed):
         # the same sentences, or the same error for a row that names no
-        # predicate, whether each block is parsed as it is drawn or all are
-        # drawn first: the check waits for the last drawn block to be parsed
-        def read(draw_first: bool):
+        # predicate, as parse_conll05 gives, whether the sidecar is read a
+        # piece at a time or held whole
+        def read():
             senses, rows = conll._sidecar(lambda: [text], "s.senses")
             blocks, parse = conll._conll05_reader(conll._sentence_forms([self.THREE[0]]),
                                                   [self.THREE[1]], senses, "s.props", rows)
-            if draw_first:
-                blocks = list(blocks)
             return [parse(block) for block in blocks]
 
         expected = self.outcome(lambda: parse_conll05(*self.THREE, parse_sense_sidecar(text),
@@ -565,8 +570,7 @@ class TestParseSpan:
         if unclaimed is not None:
             assert expected == ("s.props: sense row for sentence %d, token %d names no "
                                 "predicate" % unclaimed)
-        assert self.outcome(lambda: read(False)) == expected
-        assert self.outcome(lambda: read(True)) == expected
+        assert self.outcome(read) == expected
 
 
 class TestSensePieces:
@@ -608,7 +612,7 @@ class TestSensePieces:
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(text=sidecars(), chunk=st.integers(1, 40))
     def test_pieces_read_as_the_row_walker_reads(self, text, chunk):
-        expected = self.outcome(lambda: dict(conll._sense_rows(conll._rows([text]), (), "s")))
+        expected = self.outcome(lambda: dict(conll._sense_rows(conll._rows([text]), "s")))
         with mock.patch.object(conll, "_CHUNK", chunk):
             assert self.outcome(lambda: parse_sense_sidecar(text, "s")) == expected
             got = self.outcome(lambda: conll._sidecar(lambda: conll._pieces(text), "s"))

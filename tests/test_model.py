@@ -36,6 +36,17 @@ class TestSenseLabel:
         with pytest.raises(LabelError):
             SenseLabel.parse(bad)
 
+    # str.isdigit holds for these, but no sense number is spelt with them
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u2460", "\u0661"],
+                             ids=["superscript", "circled", "arabic-indic"])
+    def test_sense_number_is_ascii_digits(self, digit):
+        assert digit.isdigit()
+        with pytest.raises(LabelError) as err:
+            SenseLabel.parse("be." + digit)
+        assert str(err.value) == "sense number must be a digit string, got %r" % digit
+        with pytest.raises(LabelError):
+            SenseLabel("be", digit)
+
 
 class TestRoleLabel:
     def test_plain(self):
