@@ -360,7 +360,7 @@ _PROPS_CELL = re.compile(r"^(?:\(([^\s()*]+))?\*(\))?$")
 
 def parse_sense_sidecar(text: str, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
     """Optional sense annotations for span data: "sent<TAB>token<TAB>lemma.sense"."""
-    return _sense_table(lambda: _pieces(text), path)
+    return _sense_table(_pieces(text), path)
 
 
 def _sense_rows(rows, path: str | None = None):
@@ -441,24 +441,11 @@ def _sense_pieces(pieces):
         yield senses
 
 
-def _sense_table(text, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
-    """The senses of the sidecar at ``path``, whose text ``text()`` gives from
-    its start at each call, as ``_rows`` takes it, by (sentence, token) in file
-    order. The dicts of its pieces are merged, a key repeated across them
-    leaving the table smaller than the rows read; on any failure ``_sense_rows``
-    reads the text again to raise a ParseError at its first bad or repeated row."""
-    labels: dict[str, SenseLabel] = {}
-    table: dict[tuple[int, int], SenseLabel] = {}
-    read = 0  # rows read
-    for senses in (_sense_piece(piece, labels)[1] for piece in _unmarked(text())):
-        if senses is None:
-            break
-        read += len(senses)
-        table.update(senses)
-    else:
-        if len(table) == read:
-            return table
-    return dict(_sense_rows(_rows(text()), path))
+def _sense_table(pieces, path: str | None = None) -> dict[tuple[int, int], SenseLabel]:
+    """The senses of the sidecar at ``path``, whose text ``pieces`` gives as
+    ``_rows`` takes it, by (sentence, token) in file order; a ParseError at its
+    first bad or repeated row."""
+    return dict(_sense_rows(_rows(pieces), path))
 
 
 def _sidecar(text, path: str):
@@ -467,9 +454,9 @@ def _sidecar(text, path: str):
     it. Its ``_sense_pieces`` are checked first; when its sentence numbers never
     decrease and no key repeats, the pass reads them again, a piece at a time,
     and a ConfigError if a piece no longer passes the check. Otherwise it is
-    loaded whole by ``_sense_table``, which names its first problem."""
+    loaded whole, row by row, by ``_sense_table``, which names its first problem."""
     if any(senses is None for senses in _sense_pieces(text())):
-        return _sense_table(text, path), ()
+        return _sense_table(text(), path), ()
 
     def checked():
         for senses in _sense_pieces(text()):
@@ -491,14 +478,17 @@ def _conll05_reader(sentence_forms, props, senses: dict[tuple[int, int], SenseLa
     """The unparsed (sentence number, forms, props block) triples of a words
     file's ``_sentence_forms`` and a CoNLL-2005 props text, given as ``_rows``
     takes it, and the function that parses one; the sentence it returns holds
-    that very forms tuple. A caller parses each triple before it draws the next.
+    that very forms tuple. A caller parses each triple before it draws the next;
+    the one exception is ``_pair_blocks``, which counts the longer side's rest
+    unparsed, but when gold and system props share one words file the longer
+    one's words/props mismatch is raised before its triples run out.
 
     Each predicate pops its row from ``senses``. ``rows``, the ``_sense_pieces``
     of a sidecar in sentence order, are added to ``senses`` a piece at a time,
     as the triple of the piece's first sentence is drawn. Unequal sentence
     counts are a ParseError, raised as the shorter side ends; so is a sense row
     that names no predicate, the first in file order, raised once the triples
-    have run out, when a triple not yet parsed has not claimed its rows.
+    have run out, so a triple drawn but not yet parsed would leave its rows unclaimed.
 
     Readers given the same ``tables`` share its props tables: ``labels``,
     ``cells`` and ``spans``, so a span part is parsed once into one record, and

@@ -37,7 +37,7 @@ class SenseLabel(_SenseFields):
     def __new__(cls, lemma: str, sense_id: str):
         if not lemma:
             raise LabelError("empty lemma in sense label")
-        if not (sense_id.isascii() and sense_id.isdigit()):
+        if not sense_id or not (sense_id.isascii() and sense_id.isdigit()):
             raise LabelError("sense number must be a digit string, got %r" % (sense_id,))
         return tuple.__new__(cls, (lemma, sense_id.zfill(2)))
 

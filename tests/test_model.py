@@ -47,6 +47,14 @@ class TestSenseLabel:
         with pytest.raises(LabelError):
             SenseLabel("be", digit)
 
+    def test_sense_number_none_is_a_label_error(self):
+        label = SenseLabel("buy", "1")
+        for build in (lambda: SenseLabel("buy", None), lambda: SenseLabel._make(["buy", None]),
+                      lambda: label._replace(sense_id=None)):
+            with pytest.raises(LabelError) as err:
+                build()
+            assert str(err.value) == "sense number must be a digit string, got None"
+
 
 class TestRoleLabel:
     def test_plain(self):

@@ -273,6 +273,35 @@ def test_sentence_count_mismatch_counts_the_longer_file_unparsed(gold_n, system_
     assert err == "alignment error: gold has %d %s, system has %d\n" % (gold_n, noun, system_n)
 
 
+@pytest.mark.parametrize("words_n, gold_n, system_n, gold_rows, expected", [
+    (3, 3, 2, 3, ("sys.props", "words file has 3 sentences, props file has 2")),
+    (2, 3, 2, 3, ("gold.props", "words file has 2 sentences, props file has 3")),
+    (2, 2, 3, 2, ("sys.props", "words file has 2 sentences, props file has 3")),
+    # a gold row past gold's own end is gold's error, met before the system's rest
+    (2, 2, 3, 3, ("gold.props", "sense row for sentence 3, token 7 names no predicate")),
+], ids=["system-short", "gold-long", "system-long", "system-long-gold-row"])
+def test_span_count_mismatch_wins_over_sense_rows_past_the_end(words_n, gold_n, system_n,
+                                                               gold_rows, expected,
+                                                               tmp_path, capsys):
+    # the system sidecar names sentence 3's predicate, past the shorter props
+    # file's end; the longer side, counted unparsed where the system is
+    # longer, raises its words/props mismatch before its rows are checked
+    words, props = (DATA / "lead.words").read_text(), (DATA / "lead_gold.props").read_text()
+    files = {"words": words * words_n, "gold.props": props * gold_n,
+             "sys.props": props * system_n,
+             "gold.senses": "".join("%d\t7\tlead.01\n" % k for k in range(1, gold_rows + 1)),
+             "sys.senses": "".join("%d\t7\tlead.01\n" % k for k in range(1, 4))}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = cli.main(["compare", "--format", "conll05", "--words", str(tmp_path / "words"),
+                     "--senses", str(tmp_path / "gold.senses"),
+                     "--senses-system", str(tmp_path / "sys.senses"),
+                     str(tmp_path / "gold.props"), str(tmp_path / "sys.props")])
+    assert code == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", "parse error: %s: %s\n"
+                                   % (tmp_path / expected[0], expected[1]))
+
+
 def test_malformed_senses_warn_with_the_file_and_line(tmp_path, capsys):
     # the same cell at the same line of both files: the default warning
     # filter shows each warning once, so only the file name tells them apart
